@@ -3,8 +3,9 @@
 // Ablation: kNN pruning-mode semantics (DESIGN.md Section 3b).
 // The paper's Section-6 pseudocode discards case-2 entries against the
 // *interim* Sk (kEager); Definition 2 filters by the *final* Sk. This bench
-// quantifies the recall the verbatim pseudocode loses and the cost of the
-// deferred re-check that restores exactness.
+// quantifies the recall the verbatim pseudocode loses and the dominance
+// checks of each mode: deferred judges each candidate once, against the
+// final Sk.
 
 #include <cstdio>
 #include <unordered_set>
@@ -91,7 +92,8 @@ int main() {
   std::printf(
       "\nReading: eager mode (the paper's pseudocode verbatim) loses recall\n"
       "because interim-Sk dominance does not imply final-Sk dominance;\n"
-      "deferred mode restores the exact Definition-2 answer for a modest\n"
-      "number of extra dominance checks.\n");
+      "deferred mode restores the exact Definition-2 answer, judging each\n"
+      "candidate once against the final Sk instead of re-judging the list\n"
+      "against every interim Sk.\n");
   return 0;
 }

@@ -83,16 +83,15 @@ class DominanceCriterion {
   /// sbs[i], sq) for i in [0, count).
   ///
   /// One (Sa, Sq) pair against a block of candidates — the shape of
-  /// BestKnownList eviction/revival sweeps and leaf-scan filtering. The
+  /// BestKnownList's final-Sk filter and leaf-scan filtering. The
   /// contract is strict element-wise equivalence: every out[i] must be
   /// bit-identical (same enumerator, same side effects) to the serial
   /// call, so batching is purely a scheduling change. The default is the
   /// serial loop; criteria with per-pair work that is invariant in Sb
   /// (Hyperbola's query-to-focus distance) override it to hoist that work
-  /// out of the loop. Wrappers that add per-call behavior
-  /// (InstrumentedCriterion counters, CertifiedCriterion escalation)
-  /// inherit the default and keep their per-call semantics via virtual
-  /// dispatch on DecideVerdict.
+  /// out of the loop. CertifiedCriterion inherits the default and keeps
+  /// its per-call escalation via virtual dispatch on DecideVerdict;
+  /// InstrumentedCriterion forwards whole blocks and accounts per block.
   virtual void DecideVerdictBatch(SphereView sa, const SphereView* sbs,
                                   size_t count, SphereView sq,
                                   Verdict* out) const {

@@ -33,6 +33,29 @@ double HyperbolaMinDistParametric(double alpha, double rab, double y1,
                                                                  y1, y2);
 }
 
+bool HyperbolaMinDistQuarticExceeds(double alpha, double rab, double y1,
+                                    double y2, double rq) {
+  assert(alpha > 0.0 && rab > 0.0 && rab < 2.0 * alpha && y2 >= 0.0);
+  // The quartic's minimum is taken over a candidate set that contains the
+  // vertices and the singular branches, so when one of them already lies
+  // within rq, dmin <= rq is settled without the root solve (alpha * x is
+  // monotone in x). Work in the kernel's alpha-normalized frame: x / 1 and
+  // 1 * x are exact, so normalizing unconditionally matches
+  // HyperbolaMinDistKernelT bit for bit.
+  const double n_rab = rab / alpha;
+  const double n_y1 = y1 / alpha;
+  const double n_y2 = y2 / alpha;
+  const double closed_form =
+      hyperbola_internal::ClosedFormCandidatesT(n_rab, n_y1, n_y2);
+  if (alpha * closed_form <= rq) return false;
+  double dmin = alpha * hyperbola_internal::QuarticRootCandidatesT(
+                            n_rab, n_y1, n_y2, closed_form);
+  if (!std::isfinite(dmin)) {
+    dmin = HyperbolaMinDistParametric(alpha, rab, y1, y2);
+  }
+  return dmin > rq;
+}
+
 bool HyperbolaCriterion::DominatesNonOverlapping(SphereView sa, SphereView sb,
                                                  SphereView sq,
                                                  double da) const {
@@ -41,10 +64,11 @@ bool HyperbolaCriterion::DominatesNonOverlapping(SphereView sa, SphereView sb,
   // spelling (bit-identity by construction); only the curve minimizer is
   // bound here.
   return hyperbola_internal::DominatesNonOverlappingT(
-      sa, sb, sq, da, [this](double alpha, double rab, double y1, double y2) {
+      sa, sb, sq, da,
+      [this](double alpha, double rab, double y1, double y2, double rq) {
         return method_ == HyperbolaInnerMethod::kQuartic
-                   ? HyperbolaMinDistQuartic(alpha, rab, y1, y2)
-                   : HyperbolaMinDistParametric(alpha, rab, y1, y2);
+                   ? HyperbolaMinDistQuarticExceeds(alpha, rab, y1, y2, rq)
+                   : HyperbolaMinDistParametric(alpha, rab, y1, y2) > rq;
       });
 }
 

@@ -78,6 +78,14 @@ class HyperbolaCriterion final : public DominanceCriterion {
 /// ablation benchmark.
 double HyperbolaMinDistQuartic(double alpha, double rab, double y1, double y2);
 
+/// \brief HyperbolaMinDistQuartic(alpha, rab, y1, y2) > rq — the verdict
+/// HyperbolaCriterion needs — decided without the quartic's root solve
+/// when a vertex or singular-branch candidate (a few ns, against the
+/// solve's few hundred) already lies within rq. Always the same answer as
+/// the comparison; same preconditions.
+bool HyperbolaMinDistQuarticExceeds(double alpha, double rab, double y1,
+                                    double y2, double rq);
+
 /// \brief Reference implementation of the same minimum distance using the
 /// cosh/sinh parametrization of each sheet with a dense scan and
 /// golden-section refinement. Same preconditions as the quartic version.

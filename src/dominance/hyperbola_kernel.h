@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <initializer_list>
 #include <limits>
 
 #include "geometry/focal_frame.h"
@@ -78,23 +79,27 @@ T SingularBranchCandidatesT(T alpha, T rab, T y1, T y2) {
   return best;
 }
 
-// Quartic-based minimum distance from (y1, y2) to the boundary curve.
-// Unlike the public HyperbolaMinDistQuartic, this returns +inf when
-// rounding produced no usable candidate; the caller chooses the fallback
-// (the double predicate re-runs the parametric scan, the certified engine
-// escalates a tier).
+// The candidates of the quartic path that need no root solve: the two
+// vertices (always curve points; they also cover candidates whose snapped
+// coordinates degenerate) and the singular branches. Frame alpha == 1.
 template <typename T>
-T HyperbolaMinDistKernelT(T alpha, T rab, T y1, T y2) {
-  const T kInf = std::numeric_limits<T>::infinity();
-  // Normalize to alpha == 1: the quartic coefficients below scale like the
-  // 12th power of the scene scale, which destroys precision for large
-  // coordinates; the minimum distance itself scales linearly.
-  if (alpha != T(1)) {
-    return alpha *
-           HyperbolaMinDistKernelT(T(1), rab / alpha, y1 / alpha, y2 / alpha);
+T ClosedFormCandidatesT(T rab, T y1, T y2) {
+  const T semi_a = T(0.5) * rab;
+  T best = std::numeric_limits<T>::infinity();
+  for (const T x1 : {-semi_a, semi_a}) {
+    const T d = CandidateDistT(y1, y2, x1, T(0));
+    if (std::isfinite(d)) best = std::min(best, d);
   }
+  return std::min(best, SingularBranchCandidatesT(T(1), rab, y1, y2));
+}
+
+// Minimum of `closed_form` (ClosedFormCandidatesT of the same arguments)
+// and the distances to the snapped quartic-root candidates; +inf when
+// rounding produced no usable candidate. Frame alpha == 1.
+template <typename T>
+T QuarticRootCandidatesT(T rab, T y1, T y2, T closed_form) {
   const T r2 = rab * rab;
-  const T al2 = alpha * alpha;
+  const T al2 = T(1);
 
   // Coefficients of the paper's Section 4.3.2.
   const T a1 = (T(16) * al2 - T(4) * r2) * y1 * y1;
@@ -126,15 +131,11 @@ T HyperbolaMinDistKernelT(T alpha, T rab, T y1, T y2) {
   const T semi_b_sq = al2 - semi_a * semi_a;
   const T semi_b = std::sqrt(semi_b_sq);
 
-  T best = kInf;
+  T best = closed_form;
   auto consider = [&](T x1, T xp) {
     const T d = CandidateDistT(y1, y2, x1, xp);
     if (std::isfinite(d)) best = std::min(best, d);
   };
-  // The two vertices are always curve points; they also cover candidates
-  // whose snapped coordinates degenerate.
-  consider(-semi_a, T(0));
-  consider(semi_a, T(0));
   polynomial_internal::RootsT<T> lambdas;
   polynomial_internal::SolveQuarticIntoT(A, B, C, D, E, &lambdas);
   for (T lambda : lambdas) {
@@ -152,9 +153,25 @@ T HyperbolaMinDistKernelT(T alpha, T rab, T y1, T y2) {
       consider(x1, semi_b * std::sqrt(ratio_sq - T(1)));
     }
   }
-
-  best = std::min(best, SingularBranchCandidatesT(alpha, rab, y1, y2));
   return best;
+}
+
+// Quartic-based minimum distance from (y1, y2) to the boundary curve.
+// Unlike the public HyperbolaMinDistQuartic, this returns +inf when
+// rounding produced no usable candidate; the caller chooses the fallback
+// (the double predicate re-runs the parametric scan, the certified engine
+// escalates a tier).
+template <typename T>
+T HyperbolaMinDistKernelT(T alpha, T rab, T y1, T y2) {
+  // Normalize to alpha == 1: the quartic coefficients scale like the 12th
+  // power of the scene scale, which destroys precision for large
+  // coordinates; the minimum distance itself scales linearly.
+  if (alpha != T(1)) {
+    return alpha *
+           HyperbolaMinDistKernelT(T(1), rab / alpha, y1 / alpha, y2 / alpha);
+  }
+  return QuarticRootCandidatesT(rab, y1, y2,
+                                ClosedFormCandidatesT(rab, y1, y2));
 }
 
 // Distance from (y1, y2) to one sheet of the hyperbola, parametrized as
@@ -233,13 +250,14 @@ T HyperbolaMinDistParametricT(T alpha, T rab, T y1, T y2) {
 // the only O(d) quantity of the pipeline that does not involve cb, so
 // the batched form computes it once per (Sa, Sq) pair and amortizes it
 // across every candidate Sb; the focal frame's foci are ca and cb, so
-// the frame itself is rebuilt per candidate. `min_dist(alpha, rab, y1,
-// y2)` supplies the curve minimizer (quartic or parametric) — the
-// operations here are otherwise the exact serial-pipeline sequence, so
-// batched verdicts are bit-identical to one-at-a-time calls.
-template <typename MinDistFn>
+// the frame itself is rebuilt per candidate. `dmin_exceeds(alpha, rab,
+// y1, y2, rq)` decides whether the minimum distance from (y1, y2) to the
+// curve exceeds rq (quartic or parametric) — the operations here are
+// otherwise the exact serial-pipeline sequence, so batched verdicts are
+// bit-identical to one-at-a-time calls.
+template <typename DminExceedsFn>
 bool DominatesNonOverlappingT(SphereView sa, SphereView sb, SphereView sq,
-                              double da, MinDistFn&& min_dist) {
+                              double da, DminExceedsFn&& dmin_exceeds) {
   const double rab = sa.radius + sb.radius;
   const double db = DistSpan(sq.center, sb.center, sq.dim);
 
@@ -277,15 +295,13 @@ bool DominatesNonOverlappingT(SphereView sa, SphereView sb, SphereView sq,
     return -y1 > sq.radius;
   }
 
-  // Step 1: minimum distance from cq to the boundary P, computed in the
-  // focal 2-plane (Section 4.3). ComputeFocalCoords is the allocation-free
+  // Steps 1-2: Sq ⊆ Ra iff cq ∈ Ra (checked above) and the minimum
+  // distance dmin from cq to the boundary P, computed in the focal 2-plane
+  // (Section 4.3), exceeds rq. ComputeFocalCoords is the allocation-free
   // reduction of BuildFocalFrame (same operation order, no mid/axis Points).
   const FocalCoords<double> frame =
       ComputeFocalCoords<double>(sa.center, sb.center, sq.center, sa.dim);
-  const double dmin = min_dist(frame.alpha, rab, frame.y1, frame.y2);
-
-  // Step 2: Sq ⊆ Ra iff cq ∈ Ra (checked above) and dmin > rq.
-  return dmin > sq.radius;
+  return dmin_exceeds(frame.alpha, rab, frame.y1, frame.y2, sq.radius);
 }
 
 }  // namespace hyperbola_internal

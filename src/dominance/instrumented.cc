@@ -98,6 +98,26 @@ Verdict InstrumentedCriterion::DecideVerdict(SphereView sa, SphereView sb,
   return v;
 }
 
+void InstrumentedCriterion::DecideVerdictBatch(SphereView sa,
+                                               const SphereView* sbs,
+                                               size_t count, SphereView sq,
+                                               Verdict* out) const {
+  if (count == 0) return;
+  const int64_t start = NowNs();
+  inner_->DecideVerdictBatch(sa, sbs, count, sq, out);
+  const uint64_t elapsed_ns = static_cast<uint64_t>(NowNs() - start);
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  uint64_t tally[3] = {0, 0, 0};  // indexed in Verdict's enumerator order
+  for (size_t i = 0; i < count; ++i) ++tally[static_cast<int>(out[i])];
+  if (tally[0] != 0) instruments_->dominates->Add(tally[0]);
+  if (tally[1] != 0) instruments_->not_dominates->Add(tally[1]);
+  if (tally[2] != 0) instruments_->uncertain->Add(tally[2]);
+  instruments_->latency->RecordMany(elapsed_ns / count, count);
+#else
+  (void)elapsed_ns;
+#endif
+}
+
 std::unique_ptr<DominanceCriterion> MakeInstrumentedCriterion(
     CriterionKind kind) {
   return std::make_unique<InstrumentedCriterion>(MakeCriterion(kind));

@@ -24,9 +24,10 @@ namespace hyperdom {
 ///
 /// Forwards name()/is_correct()/is_sound() to the wrapped criterion;
 /// Dominates() and DecideVerdict() time the inner call and count the
-/// outcome. Thread-compatible, like the criteria themselves. When the
-/// library is built with HYPERDOM_OBSERVABILITY=OFF the wrapper still
-/// forwards correctly but records nothing.
+/// outcome, DecideVerdictBatch() does the same per block.
+/// Thread-compatible, like the criteria themselves. When the library is
+/// built with HYPERDOM_OBSERVABILITY=OFF the wrapper still forwards
+/// correctly but records nothing.
 class InstrumentedCriterion final : public DominanceCriterion {
  public:
   /// Takes ownership of `inner`, which must not be null.
@@ -38,6 +39,12 @@ class InstrumentedCriterion final : public DominanceCriterion {
   bool Dominates(SphereView sa, SphereView sb, SphereView sq) const override;
   Verdict DecideVerdict(SphereView sa, SphereView sb,
                         SphereView sq) const override;
+  /// Forwards the whole block to the inner criterion's batched override
+  /// (keeping e.g. Hyperbola's hoisted query-to-focus distance), reads the
+  /// clock twice per block, adds the verdict tallies once, and records the
+  /// block's mean per-call latency `count` times.
+  void DecideVerdictBatch(SphereView sa, const SphereView* sbs, size_t count,
+                          SphereView sq, Verdict* out) const override;
 
   std::string_view name() const override { return inner_->name(); }
   bool is_correct() const override { return inner_->is_correct(); }

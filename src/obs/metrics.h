@@ -134,6 +134,13 @@ class Histogram {
     s.sum.fetch_add(value, std::memory_order_relaxed);
   }
 
+  /// Records `value` `n` times: one bucket add and one sum add.
+  void RecordMany(uint64_t value, uint64_t n) {
+    Shard& s = shards_[ThisThreadShard()];
+    s.buckets[BucketIndex(value)].fetch_add(n, std::memory_order_relaxed);
+    s.sum.fetch_add(value * n, std::memory_order_relaxed);
+  }
+
   /// Bucket index for a value: 0 for 0, else bit_width(value) (1..64).
   static size_t BucketIndex(uint64_t value);
 

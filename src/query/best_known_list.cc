@@ -24,7 +24,7 @@ BestKnownList::BestKnownList(const DominanceCriterion* criterion,
 }
 
 double BestKnownList::DistK() const {
-  return items_.size() < k_ ? kInf : items_[k_ - 1].maxdist;
+  return top_.size() < k_ ? kInf : top_.back().maxdist;
 }
 
 void BestKnownList::Access(const EntryView& entry) {
@@ -60,97 +60,82 @@ void BestKnownList::AccessBatch(const EntryView* entries, size_t count) {
 void BestKnownList::AccessBounded(const EntryView& entry, double distmin,
                                   double distmax) {
   ++stats_->entries_accessed;
-  if (items_.size() < k_) {
-    InsertSorted(entry, distmax);
+  const Item item{entry, distmin, distmax};
+  if (top_.size() < k_) {
+    Record(item);
     return;
   }
-  const double distk = items_[k_ - 1].maxdist;
+  const double distk = top_.back().maxdist;
   if (distmin > distk) {  // case 3: cheap distance prune (Lemma 9)
     ++stats_->pruned_case3;
     return;
   }
-  if (distmax <= distk) {  // case 1: the top-k set changes
-    InsertSorted(entry, distmax);
-    EvictDominated(/*park=*/mode_ == KnnPruningMode::kDeferred);
-    return;
-  }
-  // case 2: the dominance operator decides.
-  if (CertainlyDominates(items_[k_ - 1].entry.sphere, entry.sphere)) {
-    ++stats_->pruned_case2;
-    // The interim Sk may not be the final Sk; park the entry so the final
-    // filter can resurrect it (kDeferred keeps Definition 2 exact).
-    if (mode_ == KnnPruningMode::kDeferred) deferred_.push_back(entry);
+  if (mode_ == KnnPruningMode::kDeferred) {
+    // Cases 1 and 2 alike: no interim verdict could change the entry's
+    // fate, so it is judged once, against the final Sk, by TakeAnswers().
+    Record(item);
+  } else if (distmax <= distk) {  // eager case 1: the top-k set changes
+    Record(item);
+    stats_->removed_case1 += DropDominatedTail();
+  } else if (CertainlyDominates(top_.back().entry.sphere, entry.sphere)) {
+    ++stats_->pruned_case2;  // eager case 2: discarded for good
   } else {
-    InsertSorted(entry, distmax);
+    tail_.push_back(item);
   }
+}
+
+void BestKnownList::Record(const Item& item) {
+  if (top_.size() == k_) {
+    if (!(item < top_.back())) {
+      tail_.push_back(item);
+      return;
+    }
+    tail_.push_back(top_.back());
+    top_.pop_back();
+  }
+  top_.insert(std::upper_bound(top_.begin(), top_.end(), item), item);
 }
 
 void BestKnownList::MergeFrom(BestKnownList&& other) {
   assert(criterion_ == other.criterion_);
   assert(k_ == other.k_ && mode_ == other.mode_);
-  const size_t n = other.items_.size();
-  if (n > 0) {
-    // Local scratch: AccessBounded can reach EvictDominated, which
-    // clobbers the member batch buffers mid-loop.
-    std::vector<SphereView> views(n);
-    for (size_t i = 0; i < n; ++i) views[i] = other.items_[i].entry.sphere;
-    std::vector<double> mins(n);
-    std::vector<double> maxs(n);
-    BatchedMinMaxDist(views.data(), n, sq_view_, mins.data(), maxs.data());
-    for (size_t i = 0; i < n; ++i) {
-      AccessBounded(other.items_[i].entry, mins[i], maxs[i]);
-    }
+  for (const Item& item : other.top_) {
+    AccessBounded(item.entry, item.distmin, item.maxdist);
   }
-  deferred_.insert(deferred_.end(), other.deferred_.begin(),
-                   other.deferred_.end());
-  other.items_.clear();
-  other.deferred_.clear();
+  for (const Item& item : other.tail_) {
+    AccessBounded(item.entry, item.distmin, item.maxdist);
+  }
+  other.top_.clear();
+  other.tail_.clear();
 }
 
-std::vector<DataEntry> BestKnownList::TakeAnswers() {
-  if (items_.size() > k_) EvictDominated(/*park=*/false);
-  if (items_.size() >= k_ && !deferred_.empty()) {
-    // Every parked entry is re-checked against the same final Sk with no
-    // early exit — one DecideVerdictBatch block.
-    const SphereView sk = items_[k_ - 1].entry.sphere;
-    const size_t n = deferred_.size();
-    batch_views_.resize(n);
-    for (size_t i = 0; i < n; ++i) batch_views_[i] = deferred_[i].sphere;
-    BatchCertainlyDominates(sk, batch_views_.data(), n);
-    for (size_t i = 0; i < n; ++i) {
-      if (batch_verdicts_[i] != Verdict::kDominates) {
-        InsertSorted(deferred_[i], MaxDist(deferred_[i].sphere, sq_view_));
-      }
-    }
-  }
-  std::vector<DataEntry> out;
-  out.reserve(items_.size());
-  for (const auto& item : items_) {
-    out.push_back(DataEntry{MaterializeSphere(item.entry.sphere),
-                            item.entry.id});
-  }
-  return out;
-}
+std::vector<DataEntry> BestKnownList::TakeAnswers() { return Finish(kInf); }
 
 std::vector<DataEntry> BestKnownList::TakeAnswersWithin(
     double pending_bound) {
-  // Compute the certainty bound L from the interim DistK BEFORE the final
-  // filter runs: TakeAnswers() may revive parked entries, but the exact
-  // distk is already known to be >= min(interim distk, pending_bound).
-  const double certain = std::min(DistK(), pending_bound);
-  std::vector<DataEntry> all = TakeAnswers();
-  const size_t n = all.size();
-  batch_views_.resize(n);
-  for (size_t i = 0; i < n; ++i) batch_views_[i] = all[i].sphere.view();
-  batch_max_.resize(n);
-  BatchedMaxDist(batch_views_.data(), n, sq_view_, batch_max_.data());
-  std::vector<DataEntry> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (batch_max_[i] <= certain) {
-      out.push_back(std::move(all[i]));
-    }
+  // The final filter never changes the top k, so DistK() is already the
+  // final distk of what was seen.
+  return Finish(std::min(DistK(), pending_bound));
+}
+
+std::vector<DataEntry> BestKnownList::Finish(double bound) {
+  const size_t dropped = DropDominatedTail();
+  if (mode_ == KnnPruningMode::kDeferred) {
+    stats_->pruned_case2 += dropped;
+  } else {
+    stats_->removed_case1 += dropped;
   }
+  std::sort(tail_.begin(), tail_.end());
+  top_.insert(top_.end(), tail_.begin(), tail_.end());
+  std::vector<DataEntry> out;
+  out.reserve(top_.size());
+  for (const Item& item : top_) {
+    if (item.maxdist > bound) break;
+    out.push_back(DataEntry{MaterializeSphere(item.entry.sphere),
+                            item.entry.id});
+  }
+  top_.clear();
+  tail_.clear();
   return out;
 }
 
@@ -181,35 +166,19 @@ void BestKnownList::BatchCertainlyDominates(SphereView sa,
   }
 }
 
-void BestKnownList::InsertSorted(const EntryView& entry, double distmax) {
-  Item item{entry, distmax};
-  auto pos = std::upper_bound(
-      items_.begin(), items_.end(), distmax,
-      [](double v, const Item& it) { return v < it.maxdist; });
-  items_.insert(pos, item);
-}
-
-void BestKnownList::EvictDominated(bool park) {
-  if (items_.size() <= k_) return;
-  const SphereView sk = items_[k_ - 1].entry.sphere;
-  const size_t tail = items_.size() - k_;
-  batch_views_.resize(tail);
-  for (size_t i = 0; i < tail; ++i) {
-    batch_views_[i] = items_[k_ + i].entry.sphere;
+size_t BestKnownList::DropDominatedTail() {
+  // A non-empty tail implies a full top k, so Sk exists.
+  const size_t n = tail_.size();
+  if (n == 0) return 0;
+  batch_views_.resize(n);
+  for (size_t i = 0; i < n; ++i) batch_views_[i] = tail_[i].entry.sphere;
+  BatchCertainlyDominates(top_.back().entry.sphere, batch_views_.data(), n);
+  size_t kept = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (batch_verdicts_[i] != Verdict::kDominates) tail_[kept++] = tail_[i];
   }
-  BatchCertainlyDominates(sk, batch_views_.data(), tail);
-  auto keep = items_.begin() + static_cast<std::ptrdiff_t>(k_);
-  for (size_t i = 0; i < tail; ++i) {
-    auto it = items_.begin() + static_cast<std::ptrdiff_t>(k_ + i);
-    if (batch_verdicts_[i] != Verdict::kDominates) {
-      if (keep != it) *keep = *it;
-      ++keep;
-    } else {
-      ++stats_->removed_case1;
-      if (park) deferred_.push_back(it->entry);
-    }
-  }
-  items_.erase(keep, items_.end());
+  tail_.resize(kept);
+  return n - kept;
 }
 
 }  // namespace hyperdom

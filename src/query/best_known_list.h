@@ -17,15 +17,21 @@
 
 namespace hyperdom {
 
-/// \brief Entries found so far, kept sorted by ascending MaxDist to the
-/// query, with the paper's maintenance rules:
+/// \brief Entries found so far: the best k kept sorted by (MaxDist to the
+/// query, id) — KnnLinearScan's order, so Sk and the answer order are
+/// deterministic under exact MaxDist ties whatever the access order — and
+/// every other candidate in an unsorted tail.
+///
+/// Case 3 (distmin > distk) drops an entry on access (Lemma 9). In
+/// deferred mode (the default) that is the only interim rule: cases 1 and
+/// 2 just record the candidate, and TakeAnswers() judges each tail entry
+/// once, in one DecideVerdictBatch block, against the FINAL Sk. No interim
+/// verdict could change an entry's fate, and pruning reads only DistK(),
+/// so the surviving set is exactly the Definition-2 answer when the
+/// criterion is correct and sound. Eager mode runs the paper's pseudocode
+/// against the interim Sk instead:
 ///   case 1 (distmax <= distk): insert, evict entries the new Sk dominates;
-///   case 2 (distmin <= distk < distmax): keep only if not dominated by Sk;
-///   case 3 (distmin > distk): drop (Lemma 9).
-/// In deferred mode (the default) dominance-pruned entries are parked and
-/// re-checked against the FINAL Sk by TakeAnswers(), which makes the
-/// surviving set exactly the Definition-2 answer when the criterion is
-/// correct and sound.
+///   case 2 (distmin <= distk < distmax): keep only if not dominated by Sk.
 ///
 /// The list works on non-owning EntryView handles: a traversal resolves its
 /// index payloads (StoredEntry) against the tree's SphereStore and hands the
@@ -50,18 +56,14 @@ class BestKnownList {
   /// MinDist/MaxDist bounds with one fused batched kernel call
   /// (geometry/hypersphere.h), then applies the maintenance rules in
   /// order. Equivalent to calling Access(entries[i]) for i in [0, count)
-  /// — same answers, same stats — because the rules themselves are
-  /// sequentially dependent (each entry is judged against the distk its
-  /// predecessors produced) and stay serial; only the O(d) distance work
-  /// batches.
+  /// — same answers, same stats — because each entry's case-3 test reads
+  /// the distk its predecessors produced, so the rules stay serial; only
+  /// the O(d) distance work batches.
   void AccessBatch(const EntryView* entries, size_t count);
 
   /// Absorbs another list built over the same (criterion, sq, k, mode):
-  /// every surviving item of `other` is replayed through the maintenance
-  /// rules of this list (bounds recomputed with the same batched kernel, so
-  /// the values are bit-identical to the originals), and `other`'s parked
-  /// entries are spliced into this list's deferred set. `other` is left
-  /// empty.
+  /// every candidate of `other` is replayed through the maintenance rules
+  /// of this list with its recorded bounds. `other` is left empty.
   ///
   /// Merge invariant (the scatter-gather contract, pinned by
   /// tests/bkl_merge_test.cc): in kDeferred mode, feeding a candidate
@@ -69,13 +71,13 @@ class BestKnownList {
   /// with MergeFrom yields answers bit-identical to feeding the whole
   /// stream through one list. Dropping an entry shard-locally is globally
   /// safe — case 3 needs distmin > local interim distk >= global final
-  /// distk, and case 2 parks rather than drops — so the merged candidate
-  /// multiset still contains every Definition-2 answer, and the final-Sk
-  /// filter is order-independent.
+  /// distk, so the final Sk dominates it — hence the merged candidate set
+  /// still contains every Definition-2 answer, and the (MaxDist, id) order
+  /// and the final-Sk filter are order-independent.
   void MergeFrom(BestKnownList&& other);
 
   /// Final filter against the final Sk; consumes the list. Answers are
-  /// ordered by ascending MaxDist to the query.
+  /// ordered by ascending (MaxDist to the query, id).
   std::vector<DataEntry> TakeAnswers();
 
   /// Best-effort variant used when a deadline cut the traversal short.
@@ -85,13 +87,20 @@ class BestKnownList {
   /// dominance implies a strictly smaller MaxDist, the exact distk can
   /// never drop below L = min(DistK(), pending_bound), so every seen entry
   /// with MaxDist <= L belongs to the exact answer (docs/robustness.md §7).
-  /// Consumes the list; answers ordered by ascending MaxDist.
+  /// Consumes the list; answers ordered as in TakeAnswers().
   std::vector<DataEntry> TakeAnswersWithin(double pending_bound);
 
  private:
   struct Item {
     EntryView entry;
+    double distmin;
     double maxdist;
+
+    /// The list order: ascending MaxDist, ties by id.
+    bool operator<(const Item& other) const {
+      return maxdist != other.maxdist ? maxdist < other.maxdist
+                                      : entry.id < other.entry.id;
+    }
   };
 
   /// One counted criterion call, three-valued: true only for a certified
@@ -110,12 +119,18 @@ class BestKnownList {
   /// values MinDist/MaxDist(entry.sphere, sq) would return).
   void AccessBounded(const EntryView& entry, double distmin, double distmax);
 
-  void InsertSorted(const EntryView& entry, double distmax);
-  /// Removes every entry beyond position k that the current Sk dominates;
-  /// with `park` they are kept aside for the final re-check. The sweep
-  /// judges every tail entry against the same Sk with no early exit, so
-  /// the verdicts are evaluated as one DecideVerdictBatch block.
-  void EvictDominated(bool park);
+  /// Files a candidate: into the sorted top k when it ranks there (a
+  /// displaced k-th entry moves to the tail), else onto the tail. O(k).
+  void Record(const Item& item);
+
+  /// Judges every tail entry against the current Sk in one
+  /// DecideVerdictBatch block and drops the dominated ones; returns how
+  /// many were dropped.
+  size_t DropDominatedTail();
+
+  /// Runs the final-Sk filter and materializes, in list order, the
+  /// answers with MaxDist <= `bound`; consumes the list.
+  std::vector<DataEntry> Finish(double bound);
 
   const DominanceCriterion* criterion_;
   const Hypersphere* sq_;
@@ -123,8 +138,8 @@ class BestKnownList {
   size_t k_;
   KnnPruningMode mode_;
   KnnStats* stats_;
-  std::vector<Item> items_;
-  std::vector<EntryView> deferred_;
+  std::vector<Item> top_;   // the best min(k, seen) entries, sorted
+  std::vector<Item> tail_;  // every other candidate, unsorted
   // Scratch for the batched kernels, reused across calls to keep the
   // query loop allocation-free in steady state.
   std::vector<SphereView> batch_views_;

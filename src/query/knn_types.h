@@ -28,8 +28,9 @@ enum class SearchStrategy {
 /// and interim dominance does not imply final dominance, so the verbatim
 /// algorithm can under-return even with an exact criterion.
 enum class KnnPruningMode {
-  /// Park case-2-dominated entries and re-check them against the final Sk.
-  /// With a correct+sound criterion the result equals Definition 2 exactly
+  /// No interim dominance checks: judge every candidate that survives the
+  /// case-3 distance prune once, against the final Sk. With a
+  /// correct+sound criterion the result equals Definition 2 exactly
   /// (recall 100%, matching the paper's measured claim). The default.
   kDeferred,
   /// The paper's pseudocode verbatim: discard on interim dominance. Kept
@@ -43,9 +44,13 @@ struct KnnStats {
   uint64_t nodes_pruned = 0;       ///< subtrees cut by the distk bound
   uint64_t entries_accessed = 0;   ///< data entries reaching list maintenance
   uint64_t dominance_checks = 0;   ///< criterion invocations
-  uint64_t pruned_case2 = 0;       ///< entries dropped by dominance (case 2)
+  /// Entries dropped by dominance: by the final-Sk filter in kDeferred
+  /// mode, by the interim Sk on access (case 2) in kEager mode.
+  uint64_t pruned_case2 = 0;
   uint64_t pruned_case3 = 0;       ///< entries dropped by distance (case 3)
-  uint64_t removed_case1 = 0;      ///< list entries evicted after insert
+  /// kEager only: list entries the Sk dominated after a case-1 insert or
+  /// in the final sweep. Always 0 in kDeferred mode.
+  uint64_t removed_case1 = 0;
   uint64_t uncertain_verdicts = 0; ///< kUncertain verdicts (never pruned on)
   uint64_t nodes_deadline_skipped = 0;  ///< subtrees cut by deadline expiry
 };

@@ -19,7 +19,9 @@
 #include "common/rng.h"
 #include "dominance/certified.h"
 #include "dominance/criterion.h"
+#include "dominance/instrumented.h"
 #include "index/mutable_ss_tree.h"
+#include "obs/metrics.h"
 #include "query/best_known_list.h"
 #include "query/knn.h"
 #include "storage/sphere_store.h"
@@ -64,6 +66,69 @@ TEST_P(BatchedDominanceTest, DecideVerdictBatchMatchesSerialAllCriteria) {
                                                      sq.view()))
           << criterion->name() << " dim=" << dim << " candidate " << i;
     }
+  }
+}
+
+TEST_P(BatchedDominanceTest, InstrumentedBatchMatchesInnerSerial) {
+  // The wrapper forwards whole blocks to the inner criterion and accounts
+  // once per block: verdicts must still equal the inner serial calls, and
+  // the per-verdict counters and the latency histogram must each grow by
+  // exactly the block size.
+  const size_t dim = GetParam();
+  Rng rng(5300 + dim);
+  for (CriterionKind kind : kAllKinds) {
+    const size_t count = kind == CriterionKind::kNumericOracle ? 24 : 200;
+    const InstrumentedCriterion instrumented(MakeCriterion(kind));
+    const DominanceCriterion& inner = instrumented.inner();
+    const Hypersphere sa = test::RandomSphere(&rng, dim, 3.0);
+    const Hypersphere sq = test::RandomSphere(&rng, dim, 1.0);
+    SphereStore store(dim);
+    store.Reserve(count);
+    for (size_t i = 0; i < count; ++i) {
+      store.Add(test::RandomSphere(&rng, dim, (i % 3 == 0) ? 40.0 : 3.0));
+    }
+    std::vector<SphereView> sbs;
+    for (uint32_t i = 0; i < count; ++i) sbs.push_back(store.view(i));
+
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+    auto& registry = obs::MetricsRegistry::Instance();
+    obs::Counter* counters[3];
+    const char* names[3] = {"dominates", "not_dominates", "uncertain"};
+    uint64_t before[3];
+    for (int v = 0; v < 3; ++v) {
+      counters[v] = registry.GetCounter(
+          obs::kCriterionVerdicts,
+          {{"criterion", inner.name()}, {"verdict", names[v]}});
+      before[v] = counters[v]->Value();
+    }
+    obs::Histogram* latency = registry.GetHistogram(
+        obs::kCriterionDecideDuration, "criterion", inner.name());
+    const uint64_t recorded_before = latency->Snapshot().count;
+#endif
+
+    std::vector<Verdict> batched(count);
+    instrumented.DecideVerdictBatch(sa.view(), sbs.data(), count, sq.view(),
+                                    batched.data());
+    uint64_t expected[3] = {0, 0, 0};
+    for (size_t i = 0; i < count; ++i) {
+      EXPECT_EQ(batched[i], inner.DecideVerdict(sa.view(), sbs[i], sq.view()))
+          << inner.name() << " dim=" << dim << " candidate " << i;
+      ++expected[static_cast<int>(batched[i])];
+    }
+
+#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+    uint64_t total = 0;
+    for (int v = 0; v < 3; ++v) {
+      const uint64_t delta = counters[v]->Value() - before[v];
+      EXPECT_EQ(delta, expected[v]) << inner.name() << " " << names[v];
+      total += delta;
+    }
+    EXPECT_EQ(total, count) << inner.name();
+    EXPECT_EQ(latency->Snapshot().count - recorded_before, count)
+        << inner.name();
+#else
+    (void)expected;
+#endif
   }
 }
 

@@ -7,6 +7,8 @@
 #include <cmath>
 #include <numeric>
 #include <set>
+#include <string_view>
+#include <vector>
 
 #include "common/rng.h"
 #include "dominance/hyperbola.h"
@@ -74,8 +76,9 @@ TEST_F(BestKnownListTest, Case2DominatedEntryDropped) {
   // i.e. case 2, and the Sk at 5 dominates it (the worst query point 0.5
   // toward it still leaves a margin of 1 > ra + rb = 0.6).
   list.Access(Entry(6.0, 0.1, 1));
-  EXPECT_EQ(stats_.pruned_case2, 1u);
   const auto answers = list.TakeAnswers();
+  // Deferred mode judges case-2 entries once, in the final filter.
+  EXPECT_EQ(stats_.pruned_case2, 1u);
   ASSERT_EQ(answers.size(), 1u);
   EXPECT_EQ(answers[0].id, 0u);
 }
@@ -162,6 +165,110 @@ TEST_F(BestKnownListTest, TopKNeverEvicted) {
   }
   EXPECT_TRUE(has10);
   EXPECT_TRUE(has20);
+}
+
+// Wraps Hyperbola and records which candidate each call judged, so a test
+// can see how often, and on what, the list consulted the criterion.
+class CountingCriterion final : public DominanceCriterion {
+ public:
+  using DominanceCriterion::Dominates;
+  bool Dominates(SphereView sa, SphereView sb, SphereView sq) const override {
+    judged.push_back(sb.center);
+    return inner_.Dominates(sa, sb, sq);
+  }
+  std::string_view name() const override { return "Counting"; }
+  bool is_correct() const override { return true; }
+  bool is_sound() const override { return true; }
+
+  mutable std::vector<const double*> judged;
+
+ private:
+  HyperbolaCriterion inner_;
+};
+
+TEST_F(BestKnownListTest, DeferredJudgesEachCandidateOnceAgainstFinalSk) {
+  Rng rng(811);
+  for (int trial = 0; trial < 30; ++trial) {
+    SphereStore store(2);
+    store.Reserve(80);
+    std::vector<EntryView> entries;
+    for (uint64_t id = 0; id < 80; ++id) {
+      const uint32_t slot = store.Add(Hypersphere(
+          Point{rng.Gaussian(0.0, 20.0), rng.Gaussian(0.0, 20.0)},
+          rng.Uniform(0.0, 4.0)));
+      entries.push_back(store.Resolve(StoredEntry{slot, id}));
+    }
+    const size_t k = 1 + rng.UniformU64(5);
+    CountingCriterion counting;
+    KnnStats stats;
+    BestKnownList list(&counting, &sq_, k, KnnPruningMode::kDeferred,
+                       &stats);
+    for (const EntryView& e : entries) list.Access(e);
+    EXPECT_EQ(stats.dominance_checks, 0u) << "no interim verdicts";
+    const auto answers = list.TakeAnswers();
+    // Every candidate beyond the top k, and nothing else, is judged once.
+    const uint64_t candidates = stats.entries_accessed - stats.pruned_case3;
+    EXPECT_EQ(stats.dominance_checks, candidates - k) << "trial " << trial;
+    EXPECT_EQ(counting.judged.size(), stats.dominance_checks);
+    const std::set<const double*> distinct(counting.judged.begin(),
+                                           counting.judged.end());
+    EXPECT_EQ(distinct.size(), counting.judged.size()) << "trial " << trial;
+    EXPECT_EQ(answers.size(), candidates - stats.pruned_case2);
+    EXPECT_EQ(stats.removed_case1, 0u) << "eager-only counter";
+  }
+}
+
+TEST_F(BestKnownListTest, WorstFirstOrderChecksLinearly) {
+  // Every access of a worst-first order displaces the k-th entry. The
+  // spheres are fat enough to overlap pairwise, so nothing is ever
+  // dominated: eager mode's interim sweeps re-judge the whole growing tail
+  // on every access (quadratic), deferred mode judges each entry once.
+  constexpr size_t kN = 40;
+  constexpr size_t kK = 2;
+  std::vector<EntryView> entries;
+  for (size_t i = 0; i < kN; ++i) {
+    entries.push_back(Entry(10.0 + 3.0 * static_cast<double>(kN - i), 100.0,
+                            i));
+  }
+  KnnStats deferred_stats;
+  BestKnownList deferred(&criterion_, &sq_, kK, KnnPruningMode::kDeferred,
+                         &deferred_stats);
+  KnnStats eager_stats;
+  BestKnownList eager(&criterion_, &sq_, kK, KnnPruningMode::kEager,
+                      &eager_stats);
+  for (const EntryView& e : entries) {
+    deferred.Access(e);
+    eager.Access(e);
+  }
+  const auto deferred_answers = deferred.TakeAnswers();
+  const auto eager_answers = eager.TakeAnswers();
+  constexpr size_t kTail = kN - kK;
+  EXPECT_EQ(deferred_stats.dominance_checks, kTail);
+  EXPECT_EQ(eager_stats.dominance_checks, kTail * (kTail + 1) / 2 + kTail);
+  ASSERT_EQ(deferred_answers.size(), kN);
+  ASSERT_EQ(eager_answers.size(), kN);
+  for (size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(deferred_answers[i].id, kN - 1 - i);
+    EXPECT_EQ(eager_answers[i].id, kN - 1 - i);
+  }
+}
+
+TEST_F(BestKnownListTest, ExactMaxDistTiesOrderById) {
+  // Four copies of one sphere tie exactly on MaxDist; whatever the access
+  // order, the list ranks them by id, so Sk and the answer order agree.
+  for (const std::vector<uint64_t>& order :
+       {std::vector<uint64_t>{0, 1, 2, 3}, std::vector<uint64_t>{3, 2, 1, 0},
+        std::vector<uint64_t>{2, 0, 3, 1}}) {
+    std::vector<EntryView> views;
+    for (uint64_t id : order) views.push_back(Entry(5.0, 1.0, id));
+    KnnStats stats;
+    BestKnownList list(&criterion_, &sq_, 2, KnnPruningMode::kDeferred,
+                       &stats);
+    for (const EntryView& v : views) list.Access(v);
+    const auto answers = list.TakeAnswers();
+    ASSERT_EQ(answers.size(), 4u);  // identical spheres overlap (Lemma 1)
+    for (size_t i = 0; i < answers.size(); ++i) EXPECT_EQ(answers[i].id, i);
+  }
 }
 
 }  // namespace

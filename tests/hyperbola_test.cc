@@ -4,8 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "dominance/hyperbola_kernel.h"
 #include "geometry/focal_frame.h"
 #include "test_util.h"
 
@@ -195,6 +199,90 @@ TEST(HyperbolaMinDistTest, PointOnTheCurveHasZeroDistance) {
     const double d = HyperbolaMinDistQuartic(alpha, rab, x1, xp);
     EXPECT_NEAR(d, 0.0, 1e-6 * (1.0 + std::fabs(x1) + xp)) << "t=" << t;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The quartic short-circuit: deciding dmin > rq from the vertex and
+// singular-branch candidates alone must never change a verdict.
+// ---------------------------------------------------------------------------
+
+TEST(HyperbolaShortCircuitTest, ExceedsMatchesFullQuarticAtEveryThreshold) {
+  Rng rng(4300);
+  std::vector<std::array<double, 4>> frames;  // alpha, rab, y1, y2
+  for (int iter = 0; iter < 2000; ++iter) {
+    const double alpha = iter % 4 == 0 ? 1.0 : rng.Uniform(0.5, 50.0);
+    const double rab = rng.Uniform(0.01, 1.99) * alpha;
+    const double y1 = rng.Uniform(-3.0 * alpha, 3.0 * alpha);
+    const double y2 = rng.Uniform(0.0, 3.0 * alpha);
+    frames.push_back({alpha, rab, y1, y2});
+    frames.push_back({alpha, rab, 0.0, y2});  // on the bisector plane
+    frames.push_back({alpha, rab, y1, 0.0});  // on the focal axis
+  }
+  const double kInf = std::numeric_limits<double>::infinity();
+  for (const auto& [alpha, rab, y1, y2] : frames) {
+    const double dq = HyperbolaMinDistQuartic(alpha, rab, y1, y2);
+    const double closed =
+        alpha * hyperbola_internal::ClosedFormCandidatesT(
+                    rab / alpha, y1 / alpha, y2 / alpha);
+    ASSERT_LE(dq, closed);
+    // Thresholds on both sides of, and exactly at, the true minimum and
+    // the short-circuit candidate.
+    for (double rq : {0.0, 0.5 * dq, std::nextafter(dq, 0.0), dq,
+                      std::nextafter(dq, kInf), std::nextafter(closed, 0.0),
+                      closed, std::nextafter(closed, kInf), 2.0 * closed}) {
+      EXPECT_EQ(HyperbolaMinDistQuarticExceeds(alpha, rab, y1, y2, rq),
+                dq > rq)
+          << "alpha=" << alpha << " rab=" << rab << " y1=" << y1
+          << " y2=" << y2 << " rq=" << rq;
+    }
+  }
+}
+
+// Algorithm 1 spelled out with the full quartic and no short-circuit.
+bool DominatesViaFullQuartic(const Hypersphere& sa, const Hypersphere& sb,
+                             const Hypersphere& sq) {
+  if (Overlaps(sa, sb)) return false;
+  const double rab = sa.radius() + sb.radius();
+  const double da = DistSpan(sq.center().data(), sa.center().data(), sa.dim());
+  const double db = DistSpan(sq.center().data(), sb.center().data(), sa.dim());
+  if (!(db - da > rab)) return false;
+  if (sq.radius() == 0.0) return true;
+  const FocalCoords<double> f =
+      ComputeFocalCoords<double>(sa.center(), sb.center(), sq.center());
+  return HyperbolaMinDistQuartic(f.alpha, rab, f.y1, f.y2) > sq.radius();
+}
+
+TEST(HyperbolaShortCircuitTest, VerdictsMatchFullQuarticOnSweepScenes) {
+  // The criterion-sweep grid (dims {2, 4, 10}, mu {5, 50}), each scene
+  // also re-run with Sq moved next to Sa so most of them reach the quartic.
+  HyperbolaCriterion criterion;
+  size_t reached_quartic = 0;
+  for (size_t dim : {2u, 4u, 10u}) {
+    for (double mu : {5.0, 50.0}) {
+      Rng rng(4400 + dim * 13 + static_cast<uint64_t>(mu));
+      for (int iter = 0; iter < 3000; ++iter) {
+        test::Scene s = test::RandomScene(&rng, dim, mu);
+        if (s.sa.radius() + s.sb.radius() == 0.0) continue;  // no curve
+        for (int variant = 0; variant < 2; ++variant) {
+          if (variant == 1) {
+            Point c = s.sa.center();
+            for (double& v : c) v += rng.Gaussian(0.0, mu);
+            s.sq = Hypersphere(c, s.sq.radius());
+          }
+          const bool want = DominatesViaFullQuartic(s.sa, s.sb, s.sq);
+          EXPECT_EQ(criterion.Dominates(s.sa, s.sb, s.sq), want)
+              << test::SceneToString(s);
+          const double gap = Dist(s.sq.center(), s.sb.center()) -
+                             Dist(s.sq.center(), s.sa.center());
+          if (!Overlaps(s.sa, s.sb) && s.sq.radius() > 0.0 &&
+              gap > s.sa.radius() + s.sb.radius()) {
+            ++reached_quartic;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(reached_quartic, 2000u);
 }
 
 // ---------------------------------------------------------------------------

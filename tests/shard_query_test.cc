@@ -185,6 +185,54 @@ TEST_F(ShardedQueryTest, KnnBitIdenticalAcrossPoliciesKindsAndStrategies) {
   }
 }
 
+TEST_F(ShardedQueryTest, DuplicateSpheresGiveOneOrderOnEveryPath) {
+  // Every sphere appears three times, so MaxDist ties exactly and Sk may be
+  // any of several copies. The (MaxDist, id) list order makes Sk and the
+  // answer order the same on every path: DF, HS, any shard split, and the
+  // linear scan.
+  const auto base = MakeData(150, 505);
+  std::vector<Hypersphere> data;
+  for (int copy = 0; copy < 3; ++copy) {
+    data.insert(data.end(), base.begin(), base.end());
+  }
+  const auto queries = MakeQueries(6, 606);
+  SsTree tree(kDim);
+  ASSERT_TRUE(tree.BulkLoadStr(data).ok());
+  ShardedStore one;
+  ShardedStore four;
+  ShardingOptions sharding;
+  ASSERT_TRUE(ShardedStore::Build(data, sharding, &one).ok());
+  sharding.shards = 4;
+  ASSERT_TRUE(ShardedStore::Build(data, sharding, &four).ok());
+  for (size_t k : {1u, 2u, 4u, 10u}) {
+    for (size_t q = 0; q < queries.size(); ++q) {
+      const std::string context =
+          "k=" + std::to_string(k) + " q=" + std::to_string(q);
+      const KnnResult linear =
+          KnnLinearScan(data, queries[q], k, criterion_);
+      for (SearchStrategy strategy :
+           {SearchStrategy::kDepthFirst, SearchStrategy::kBestFirst}) {
+        KnnOptions options;
+        options.k = k;
+        options.strategy = strategy;
+        const std::string where =
+            context + (strategy == SearchStrategy::kBestFirst ? " hs" : " df");
+        ExpectIdentical(KnnSearcher(&criterion_, options)
+                            .Search(tree, queries[q])
+                            .answers,
+                        linear.answers, where);
+        for (const ShardedStore* store : {&one, &four}) {
+          Result<KnnResult> got =
+              ShardedKnn(*store, queries[q], criterion_, options);
+          ASSERT_TRUE(got.ok());
+          ExpectIdentical(got->answers, linear.answers,
+                          where + " K=" + std::to_string(store->shards()));
+        }
+      }
+    }
+  }
+}
+
 TEST_F(ShardedQueryTest, KnnRejectsEagerPruning) {
   const auto data = MakeData(50, 1);
   ShardingOptions sharding;
