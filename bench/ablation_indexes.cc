@@ -16,7 +16,6 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 int main() {
@@ -56,7 +55,7 @@ int main() {
     if (Status st = mtree.BulkLoad(data); !st.ok()) return 1;
     const double mtree_build = watch.ElapsedSeconds();
 
-    const KnnSearcher ss_searcher(&exact, options);
+    const KnnSearcher searcher(&exact, options);
     struct RowResult {
       const char* name;
       double build_s;
@@ -89,10 +88,10 @@ int main() {
           }
         }
       };
-      run(&rows[0], [&] { return ss_searcher.Search(ss_tree, sq); });
-      run(&rows[1], [&] { return RStarKnnSearch(rstar, sq, exact, options); });
-      run(&rows[2], [&] { return VpTreeKnnSearch(vp, sq, exact, options); });
-      run(&rows[3], [&] { return MTreeKnnSearch(mtree, sq, exact, options); });
+      run(&rows[0], [&] { return searcher.Search(ss_tree, sq); });
+      run(&rows[1], [&] { return searcher.Search(rstar, sq); });
+      run(&rows[2], [&] { return searcher.Search(vp, sq); });
+      run(&rows[3], [&] { return searcher.Search(mtree, sq); });
       run(&rows[4], [&] { return KnnLinearScan(data, sq, options.k, exact); });
     }
 

@@ -10,58 +10,8 @@
 #include "exec/parallel_for.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "query/index_knn.h"
-#include "query/knn.h"
 
 namespace hyperdom {
-
-namespace {
-
-void AccumulateKnnStats(const KnnStats& one, KnnStats* totals) {
-  totals->nodes_visited += one.nodes_visited;
-  totals->nodes_pruned += one.nodes_pruned;
-  totals->entries_accessed += one.entries_accessed;
-  totals->dominance_checks += one.dominance_checks;
-  totals->pruned_case2 += one.pruned_case2;
-  totals->pruned_case3 += one.pruned_case3;
-  totals->removed_case1 += one.removed_case1;
-  totals->uncertain_verdicts += one.uncertain_verdicts;
-  totals->nodes_deadline_skipped += one.nodes_deadline_skipped;
-}
-
-// The shared shape of the four BatchKnn overloads: `run_one(sq)` executes
-// the index's existing single-query driver.
-template <typename RunOne>
-BatchKnnResult RunBatchKnn(const std::vector<Hypersphere>& queries,
-                           const BatchOptions& exec, const RunOne& run_one) {
-  HYPERDOM_SPAN(span, "batch/knn");
-  BatchKnnResult batch;
-  batch.results.resize(queries.size());
-  Stopwatch watch;
-  batch.stats.threads =
-      RunBatch(queries.size(), exec, [&](QueryContext& ctx) {
-        batch.results[ctx.index] = run_one(queries[ctx.index]);
-      });
-  batch.stats.wall_nanos = watch.ElapsedNs();
-  batch.stats.queries = queries.size();
-  for (const KnnResult& result : batch.results) {
-    AccumulateKnnStats(result.stats, &batch.stats.totals);
-    if (result.completeness == Completeness::kBestEffort) {
-      ++batch.stats.best_effort;
-    }
-  }
-  HYPERDOM_COUNTER_INC_L(obs::kBatchRuns, "kind", "knn");
-  HYPERDOM_COUNTER_ADD_L(obs::kBatchQueries, "kind", "knn", queries.size());
-  HYPERDOM_HISTOGRAM_RECORD_L(obs::kBatchDuration, "kind", "knn",
-                              batch.stats.wall_nanos);
-  HYPERDOM_SPAN_ANNOTATE(span, "queries",
-                         static_cast<uint64_t>(queries.size()));
-  HYPERDOM_SPAN_ANNOTATE(span, "threads",
-                         static_cast<uint64_t>(batch.stats.threads));
-  return batch;
-}
-
-}  // namespace
 
 size_t RunBatch(size_t n, const BatchOptions& exec,
                 const std::function<void(QueryContext&)>& body) {
@@ -89,41 +39,34 @@ size_t RunBatch(size_t n, const BatchOptions& exec,
   return threads;
 }
 
-BatchKnnResult BatchKnn(const SsTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  const KnnSearcher searcher(&criterion, options);
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return searcher.Search(tree, sq);
-  });
-}
-
-BatchKnnResult BatchKnn(const RStarTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return RStarKnnSearch(tree, sq, criterion, options);
-  });
-}
-
-BatchKnnResult BatchKnn(const VpTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return VpTreeKnnSearch(tree, sq, criterion, options);
-  });
-}
-
-BatchKnnResult BatchKnn(const MTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec) {
-  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
-    return MTreeKnnSearch(tree, sq, criterion, options);
-  });
+BatchKnnResult RunBatchKnn(
+    const std::vector<Hypersphere>& queries, const BatchOptions& exec,
+    const std::function<KnnResult(const Hypersphere&)>& run_one) {
+  HYPERDOM_SPAN(span, "batch/knn");
+  BatchKnnResult batch;
+  batch.results.resize(queries.size());
+  Stopwatch watch;
+  batch.stats.threads =
+      RunBatch(queries.size(), exec, [&](QueryContext& ctx) {
+        batch.results[ctx.index] = run_one(queries[ctx.index]);
+      });
+  batch.stats.wall_nanos = watch.ElapsedNs();
+  batch.stats.queries = queries.size();
+  for (const KnnResult& result : batch.results) {
+    batch.stats.totals += result.stats;
+    if (result.completeness == Completeness::kBestEffort) {
+      ++batch.stats.best_effort;
+    }
+  }
+  HYPERDOM_COUNTER_INC_L(obs::kBatchRuns, "kind", "knn");
+  HYPERDOM_COUNTER_ADD_L(obs::kBatchQueries, "kind", "knn", queries.size());
+  HYPERDOM_HISTOGRAM_RECORD_L(obs::kBatchDuration, "kind", "knn",
+                              batch.stats.wall_nanos);
+  HYPERDOM_SPAN_ANNOTATE(span, "queries",
+                         static_cast<uint64_t>(queries.size()));
+  HYPERDOM_SPAN_ANNOTATE(span, "threads",
+                         static_cast<uint64_t>(batch.stats.threads));
+  return batch;
 }
 
 BatchRangeResult BatchRange(const SsTree& tree,
@@ -141,11 +84,7 @@ BatchRangeResult BatchRange(const SsTree& tree,
   batch.wall_nanos = watch.ElapsedNs();
   batch.queries = queries.size();
   for (const RangeResult& result : batch.results) {
-    batch.totals.nodes_visited += result.stats.nodes_visited;
-    batch.totals.nodes_pruned += result.stats.nodes_pruned;
-    batch.totals.entries_accessed += result.stats.entries_accessed;
-    batch.totals.nodes_deadline_skipped +=
-        result.stats.nodes_deadline_skipped;
+    batch.totals += result.stats;
     if (result.completeness == Completeness::kBestEffort) {
       ++batch.best_effort;
     }

@@ -24,10 +24,7 @@
 #include "common/rng.h"
 #include "dominance/criterion.h"
 #include "exec/thread_pool.h"
-#include "index/m_tree.h"
-#include "index/rstar_tree.h"
-#include "index/vp_tree.h"
-#include "query/knn_types.h"
+#include "query/knn.h"
 #include "query/range.h"
 
 namespace hyperdom {
@@ -73,26 +70,6 @@ struct BatchRangeResult {
   size_t threads = 1;
 };
 
-/// Batch kNN over each of the four indexes. `criterion` is shared by all
-/// workers and must be thread-safe for concurrent Decide calls (every
-/// criterion in dominance/ is: they are stateless or use atomics).
-BatchKnnResult BatchKnn(const SsTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const RStarTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const VpTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-BatchKnnResult BatchKnn(const MTree& tree,
-                        const std::vector<Hypersphere>& queries,
-                        const DominanceCriterion& criterion,
-                        const KnnOptions& options, const BatchOptions& exec);
-
 /// Batch range search over the SS-tree; the per-query deadline is applied
 /// independently to every query.
 BatchRangeResult BatchRange(const SsTree& tree,
@@ -115,6 +92,27 @@ struct QueryContext {
 /// indices. Returns the workers used.
 size_t RunBatch(size_t n, const BatchOptions& exec,
                 const std::function<void(QueryContext&)>& body);
+
+/// BatchKnn's scaffold: runs `run_one(queries[i])` for every query through
+/// RunBatch and totals the per-query stats.
+BatchKnnResult RunBatchKnn(
+    const std::vector<Hypersphere>& queries, const BatchOptions& exec,
+    const std::function<KnnResult(const Hypersphere&)>& run_one);
+
+/// Batch kNN over any index KnnSearcher::Search accepts (SS-, R*-, VP- or
+/// M-tree). `criterion` is shared by all workers and must be thread-safe
+/// for concurrent Decide calls (every criterion in dominance/ is: they
+/// are stateless or use atomics).
+template <typename Tree>
+BatchKnnResult BatchKnn(const Tree& tree,
+                        const std::vector<Hypersphere>& queries,
+                        const DominanceCriterion& criterion,
+                        const KnnOptions& options, const BatchOptions& exec) {
+  const KnnSearcher searcher(&criterion, options);
+  return RunBatchKnn(queries, exec, [&](const Hypersphere& sq) {
+    return searcher.Search(tree, sq);
+  });
+}
 
 }  // namespace hyperdom
 

@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cassert>
 #include <queue>
+#include <string_view>
+#include <utility>
 
 #include "query/best_known_list.h"
 #include "query/knn_metrics.h"
@@ -14,93 +16,230 @@ namespace hyperdom {
 
 namespace {
 
-// Gathers a leaf's visible entries into `scratch` (reused across leaves;
-// no steady-state allocation) and scores them as one AccessBatch block —
-// the distance bounds of the whole leaf run through the fused batched
-// kernel instead of per-entry calls. Decisions and stats are identical to
-// per-entry Access by the AccessBatch contract.
-void ScanLeaf(const SsTreeNode* node, const SphereStore& store,
-              const SearchOverlay* overlay, BestKnownList* list,
-              std::vector<EntryView>* scratch) {
-  scratch->clear();
-  for (const auto& entry : node->entries()) {
-    if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
-    scratch->push_back(store.Resolve(entry));
+// ---------------------------------------------------------------------------
+// Expanders: the only per-index part of the search.
+// `Expand(node, ctx, emit_entries, emit_child)` hands the node's own data
+// entries to `emit_entries(rows, n)` as contiguous EntryView blocks (a
+// whole leaf scores through one batched BestKnownList::AccessBatch call)
+// and reports each child as `emit_child(child, bound)`, where `bound`
+// lower-bounds MinDist(S, Sq) for every data sphere S in the child's
+// subtree. The drivers take the root's bound from their caller
+// (RootBound).
+// ---------------------------------------------------------------------------
+
+// What every expander shares besides its node.
+struct ExpandContext {
+  const Hypersphere& sq;
+  const SphereStore& store;
+  const SearchOverlay* overlay;
+  // Leaf gather buffer, reused across leaves (no steady-state allocation).
+  std::vector<EntryView>* scratch;
+
+  // Resolves the overlay-visible `entries` and emits them as one block.
+  template <typename Entries, typename EmitFn>
+  void EmitVisible(const Entries& entries, const EmitFn& emit_entries) const {
+    scratch->clear();
+    for (const StoredEntry& entry : entries) {
+      if (overlay != nullptr && !overlay->VisibleBase(entry.slot)) continue;
+      scratch->push_back(store.Resolve(entry));
+    }
+    emit_entries(scratch->data(), scratch->size());
   }
-  list->AccessBatch(scratch->data(), scratch->size());
+};
+
+double NodeBound(const SsTreeNode* node, const Hypersphere& sq) {
+  return MinDist(node->bounding_sphere(), sq);
 }
 
-void DepthFirstSearch(const SsTreeNode* node, double mindist,
-                      const SphereStore& store, const Hypersphere& sq,
-                      const SearchOverlay* overlay, BestKnownList* list,
-                      KnnStats* stats, TraversalGuard* guard,
-                      std::vector<EntryView>* scratch) {
+double NodeBound(const RStarTreeNode* node, const Hypersphere& sq) {
+  return MinDist(node->mbr(), sq);
+}
+
+double NodeBound(const MTreeNode* node, const Hypersphere& sq) {
+  const double d = Dist(node->pivot(), sq.center()) -
+                   node->covering_radius() - sq.radius();
+  return d > 0.0 ? d : 0.0;
+}
+
+// The root's bound. Nothing above a VP-tree root carries a band to bound
+// it by, so it gets 0.
+template <typename Node>
+double RootBound(const Node* root, const Hypersphere& sq) {
+  return NodeBound(root, sq);
+}
+
+double RootBound(const VpTreeNode* /*root*/, const Hypersphere& /*sq*/) {
+  return 0.0;
+}
+
+// SS-, R*- and M-tree nodes bound their own subtree.
+template <typename Node, typename EmitEntries, typename EmitChild>
+void Expand(const Node* node, const ExpandContext& ctx,
+            const EmitEntries& emit_entries, const EmitChild& emit_child) {
+  if (node->is_leaf()) {
+    ctx.EmitVisible(node->entries(), emit_entries);
+    return;
+  }
+  for (const auto& child : node->children()) {
+    emit_child(child.get(), NodeBound(child.get(), ctx.sq));
+  }
+}
+
+// A VP-tree child's bound depends on its distance band relative to its
+// PARENT's vantage point, so it is computed here, at emission time.
+template <typename EmitEntries, typename EmitChild>
+void Expand(const VpTreeNode* node, const ExpandContext& ctx,
+            const EmitEntries& emit_entries, const EmitChild& emit_child) {
+  if (node->is_leaf()) {
+    ctx.EmitVisible(node->bucket(), emit_entries);
+    return;
+  }
+  // The vantage is a single routing entry: a one-row block.
+  const StoredEntry vantage[] = {node->vantage()};
+  ctx.EmitVisible(vantage, emit_entries);
+  const double dvp = DistSpan(ctx.sq.center().data(),
+                              ctx.store.center(node->vantage().slot),
+                              ctx.store.dim());
+  auto child_bound = [&](const VpTreeNode* child, double lo, double hi) {
+    // Triangle inequality: any subtree center c has
+    // Dist(c, cq) >= max(0, dvp - hi, lo - dvp); subtract the subtree's
+    // fattest radius and the query radius for sphere MinDist.
+    const double center_lb = std::max({0.0, dvp - hi, lo - dvp});
+    const double b = center_lb - child->max_radius() - ctx.sq.radius();
+    return b > 0.0 ? b : 0.0;
+  };
+  if (node->inside() != nullptr) {
+    emit_child(node->inside(), child_bound(node->inside(), node->inside_lo(),
+                                           node->inside_hi()));
+  }
+  if (node->outside() != nullptr) {
+    emit_child(node->outside(),
+               child_bound(node->outside(), node->outside_lo(),
+                           node->outside_hi()));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The two drivers. Every dominance decision funnels through BestKnownList,
+// which never prunes on a kUncertain verdict, so both stay exact under an
+// error-aware criterion without any per-index handling.
+// ---------------------------------------------------------------------------
+
+// DF (Roussopoulos et al.): children are descended in ascending bound
+// order so distk tightens early. Equal bounds stay where std::sort leaves
+// them — deterministic for a given emission order, and emission order
+// itself below 17 children (DESIGN.md, "One kNN traversal").
+template <typename Node>
+void DepthFirst(const Node* node, double bound, const ExpandContext& ctx,
+                BestKnownList* list, KnnStats* stats, TraversalGuard* guard) {
   // distk shrinks while siblings are processed, so the bound is re-checked
-  // here, at descent time, rather than where the child was enumerated.
-  if (mindist > list->DistK()) {
+  // here, at descent time, rather than where the child was emitted.
+  if (bound > list->DistK()) {
     ++stats->nodes_pruned;
     return;
   }
   if (guard->ShouldStop(stats->nodes_visited)) {
+    // Sticky: every later sibling lands here too and adds its own bound.
     ++stats->nodes_deadline_skipped;
-    guard->NoteSkipped(mindist);
+    guard->NoteSkipped(bound);
     return;
   }
   ++stats->nodes_visited;
-  if (node->is_leaf()) {
-    ScanLeaf(node, store, overlay, list, scratch);
-    return;
-  }
-  // Visit children in ascending MinDist order so distk tightens early
-  // (Roussopoulos et al.'s ordering heuristic).
-  std::vector<std::pair<double, const SsTreeNode*>> order;
-  order.reserve(node->children().size());
-  for (const auto& child : node->children()) {
-    order.emplace_back(MinDist(child->bounding_sphere(), sq), child.get());
-  }
+  std::vector<std::pair<double, const Node*>> order;
+  Expand(
+      node, ctx,
+      [list](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); },
+      [&order](const Node* child, double child_bound) {
+        order.emplace_back(child_bound, child);
+      });
   std::sort(order.begin(), order.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (const auto& [child_mindist, child] : order) {
-    DepthFirstSearch(child, child_mindist, store, sq, overlay, list, stats,
-                     guard, scratch);
+  for (const auto& [child_bound, child] : order) {
+    DepthFirst(child, child_bound, ctx, list, stats, guard);
   }
 }
 
-void BestFirstSearch(const SsTreeNode* root, const SphereStore& store,
-                     const Hypersphere& sq, const SearchOverlay* overlay,
-                     BestKnownList* list, KnnStats* stats,
-                     TraversalGuard* guard, std::vector<EntryView>* scratch) {
-  using QueueItem = std::pair<double, const SsTreeNode*>;
+// HS (Hjaltason & Samet): one min-heap on the bound over the frontier.
+template <typename Node>
+void BestFirst(const Node* root, double root_bound, const ExpandContext& ctx,
+               BestKnownList* list, KnnStats* stats, TraversalGuard* guard) {
+  using QueueItem = std::pair<double, const Node*>;
   auto cmp = [](const QueueItem& a, const QueueItem& b) {
-    return a.first > b.first;  // min-heap on MinDist
+    return a.first > b.first;
   };
   std::priority_queue<QueueItem, std::vector<QueueItem>, decltype(cmp)> heap(
       cmp);
-  heap.emplace(MinDist(root->bounding_sphere(), sq), root);
+  heap.emplace(root_bound, root);
   while (!heap.empty()) {
-    const auto [mindist, node] = heap.top();
+    const auto [bound, node] = heap.top();
     heap.pop();
-    if (mindist > list->DistK()) {
-      // The heap is ordered by MinDist: everything left is at least as far.
+    if (bound > list->DistK()) {
+      // The heap is ordered by bound: everything left is at least as far.
       stats->nodes_pruned += 1 + heap.size();
       break;
     }
     if (guard->ShouldStop(stats->nodes_visited)) {
-      // The popped node carries the smallest MinDist left, so it alone
-      // determines the pending bound for everything abandoned here.
-      guard->NoteSkipped(mindist);
+      // The popped node carries the smallest bound left, so it alone
+      // determines the pending bound for the abandoned frontier.
+      guard->NoteSkipped(bound);
       stats->nodes_deadline_skipped += 1 + heap.size();
       break;
     }
     ++stats->nodes_visited;
-    if (node->is_leaf()) {
-      ScanLeaf(node, store, overlay, list, scratch);
-    } else {
-      for (const auto& child : node->children()) {
-        heap.emplace(MinDist(child->bounding_sphere(), sq), child.get());
-      }
-    }
+    Expand(
+        node, ctx,
+        [list](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); },
+        [&heap](const Node* child, double child_bound) {
+          heap.emplace(child_bound, child);
+        });
   }
+}
+
+template <typename Tree>
+void SearchInto(const Tree& tree, const Hypersphere& sq,
+                SearchStrategy strategy, BestKnownList* list, KnnStats* stats,
+                TraversalGuard* guard, const SearchOverlay* overlay) {
+  // Delta rows live outside the tree: score them exhaustively up front,
+  // which also tightens distk before any node is descended. The block
+  // form hands them over in contiguous runs for batched scoring.
+  if (overlay != nullptr) {
+    overlay->ForEachExtraBlock(
+        [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); });
+  }
+  if (tree.root() == nullptr) return;
+  std::vector<EntryView> scratch;
+  const ExpandContext ctx{sq, tree.store(), overlay, &scratch};
+  const double root_bound = RootBound(tree.root(), sq);
+  if (strategy == SearchStrategy::kDepthFirst) {
+    DepthFirst(tree.root(), root_bound, ctx, list, stats, guard);
+  } else {
+    BestFirst(tree.root(), root_bound, ctx, list, stats, guard);
+  }
+}
+
+template <typename Tree>
+KnnResult SearchOne(const Tree& tree, const Hypersphere& sq,
+                    const SearchOverlay* overlay,
+                    const DominanceCriterion* criterion,
+                    const KnnOptions& options, std::string_view index_tag) {
+  // Pins the reclamation epoch for the whole query: any store version the
+  // overlay references stays alive until we return (storage/epoch.h).
+  // Nested guards are cheap, so this is safe under RkNN's subqueries too.
+  EpochManager::Guard epoch_guard;
+  KnnQueryRecorder recorder(index_tag);
+  KnnResult result;
+  if (tree.root() == nullptr && overlay == nullptr) {
+    recorder.Publish(result);
+    return result;
+  }
+  BestKnownList list(criterion, &sq, options.k, options.pruning_mode,
+                     &result.stats);
+  TraversalGuard guard(options.deadline);
+  SearchInto(tree, sq, options.strategy, &list, &result.stats, &guard,
+             overlay);
+  FinishKnn(&list, guard.expired(), guard.pending_bound(), &result);
+  recorder.Publish(result);
+  return result;
 }
 
 }  // namespace
@@ -112,59 +251,62 @@ KnnSearcher::KnnSearcher(const DominanceCriterion* criterion,
   assert(options_.k >= 1);
 }
 
-KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq) const {
-  return Search(tree, sq, nullptr);
+KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
+                              const SearchOverlay* overlay) const {
+  return SearchOne(tree, sq, overlay, criterion_, options_, "ss");
+}
+
+KnnResult KnnSearcher::Search(const RStarTree& tree, const Hypersphere& sq,
+                              const SearchOverlay* overlay) const {
+  return SearchOne(tree, sq, overlay, criterion_, options_, "rstar");
+}
+
+KnnResult KnnSearcher::Search(const VpTree& tree, const Hypersphere& sq,
+                              const SearchOverlay* overlay) const {
+  return SearchOne(tree, sq, overlay, criterion_, options_, "vp");
+}
+
+KnnResult KnnSearcher::Search(const MTree& tree, const Hypersphere& sq,
+                              const SearchOverlay* overlay) const {
+  return SearchOne(tree, sq, overlay, criterion_, options_, "m");
 }
 
 void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
-                   SearchStrategy strategy, const SearchOverlay* overlay,
-                   BestKnownList* list, KnnStats* stats,
-                   TraversalGuard* guard) {
-  // Delta rows live outside the tree: score them exhaustively up front,
-  // which also tightens distk before any node is descended. The block
-  // form hands them over in contiguous runs for batched scoring.
-  if (overlay != nullptr) {
-    overlay->ForEachExtraBlock(
-        [&](const EntryView* rows, size_t n) { list->AccessBatch(rows, n); });
-  }
-  std::vector<EntryView> leaf_scratch;
-  if (tree.root() != nullptr) {
-    if (strategy == SearchStrategy::kDepthFirst) {
-      DepthFirstSearch(tree.root(), MinDist(tree.root()->bounding_sphere(), sq),
-                       tree.store(), sq, overlay, list, stats, guard,
-                       &leaf_scratch);
-    } else {
-      BestFirstSearch(tree.root(), tree.store(), sq, overlay, list, stats,
-                      guard, &leaf_scratch);
-    }
-  }
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay) {
+  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
 }
 
-KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
-                              const SearchOverlay* overlay) const {
-  // Pins the reclamation epoch for the whole query: any store version the
-  // overlay references stays alive until we return (storage/epoch.h).
-  // Nested guards are cheap, so this is safe under RkNN's subqueries too.
-  EpochManager::Guard epoch_guard;
-  KnnQueryRecorder recorder("ss");
-  KnnResult result;
-  if (tree.root() == nullptr && overlay == nullptr) {
-    recorder.Publish(result);
-    return result;
-  }
-  BestKnownList list(criterion_, &sq, options_.k, options_.pruning_mode,
-                     &result.stats);
-  TraversalGuard guard(options_.deadline);
-  KnnSearchInto(tree, sq, options_.strategy, overlay, &list, &result.stats,
-                &guard);
-  if (guard.expired()) {
-    result.completeness = Completeness::kBestEffort;
-    result.answers = list.TakeAnswersWithin(guard.pending_bound());
+void KnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay) {
+  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+}
+
+void KnnSearchInto(const VpTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay) {
+  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+}
+
+void KnnSearchInto(const MTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay) {
+  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+}
+
+void FinishKnn(BestKnownList* list, bool expired, double pending_bound,
+               KnnResult* result) {
+  if (expired) {
+    result->completeness = Completeness::kBestEffort;
+    result->answers = list->TakeAnswersWithin(pending_bound);
   } else {
-    result.answers = list.TakeAnswers();
+    result->answers = list->TakeAnswers();
   }
-  recorder.Publish(result);
-  return result;
 }
 
 KnnResult KnnLinearScan(const std::vector<Hypersphere>& data,

@@ -17,8 +17,12 @@
 // Definition 2 exactly, with merely-correct criteria it is a superset
 // (lower precision), never a subset.
 //
-// KnnSearcher runs over the SS-tree; the alternative indexes have their own
-// searchers (query/index_knn.h) built on the same list.
+// One searcher serves all four indexes (SS-tree, R*-tree, VP-tree,
+// M-tree): a single DF and a single HS driver run over per-index
+// expanders (DESIGN.md, "One kNN traversal"). In deferred mode every
+// index therefore returns the same answer set for the same criterion and
+// options; they differ only in traversal cost, which is what the
+// index-comparison ablation benchmark measures.
 
 #ifndef HYPERDOM_QUERY_KNN_H_
 #define HYPERDOM_QUERY_KNN_H_
@@ -27,16 +31,18 @@
 
 #include "common/deadline.h"
 #include "dominance/criterion.h"
+#include "index/m_tree.h"
 #include "index/overlay.h"
+#include "index/rstar_tree.h"
 #include "index/ss_tree.h"
+#include "index/vp_tree.h"
 #include "query/knn_types.h"
 
 namespace hyperdom {
 
 class BestKnownList;
 
-/// \brief Index-based kNN search over the SS-tree with a pluggable
-/// dominance criterion.
+/// \brief Index-based kNN search with a pluggable dominance criterion.
 ///
 /// The searcher borrows the criterion (not owned); it must outlive the
 /// searcher. Thread-compatible: concurrent Search() calls are safe.
@@ -44,17 +50,21 @@ class KnnSearcher {
  public:
   KnnSearcher(const DominanceCriterion* criterion, KnnOptions options);
 
-  /// Runs the query against an SS-tree.
-  KnnResult Search(const SsTree& tree, const Hypersphere& sq) const;
-
-  /// \brief Runs the query against an SS-tree through a mutability
-  /// overlay (index/overlay.h): tombstoned base slots are skipped and the
-  /// overlay's delta rows are scored exhaustively before the traversal
-  /// (tightening distk early; the answer set is traversal-order
-  /// independent). Null overlay behaves exactly like the two-argument
-  /// form. The whole call runs under an epoch guard.
+  /// \brief Runs the query against one index, optionally through a
+  /// mutability overlay (index/overlay.h): tombstoned base slots are
+  /// skipped and the overlay's delta rows are scored exhaustively before
+  /// the traversal (tightening distk early; the answer set is
+  /// traversal-order independent). The whole call runs under an epoch
+  /// guard, and its counters are published under the index's tag
+  /// ("ss"/"rstar"/"vp"/"m", query/knn_metrics.h).
   KnnResult Search(const SsTree& tree, const Hypersphere& sq,
-                   const SearchOverlay* overlay) const;
+                   const SearchOverlay* overlay = nullptr) const;
+  KnnResult Search(const RStarTree& tree, const Hypersphere& sq,
+                   const SearchOverlay* overlay = nullptr) const;
+  KnnResult Search(const VpTree& tree, const Hypersphere& sq,
+                   const SearchOverlay* overlay = nullptr) const;
+  KnnResult Search(const MTree& tree, const Hypersphere& sq,
+                   const SearchOverlay* overlay = nullptr) const;
 
   const KnnOptions& options() const { return options_; }
 
@@ -63,17 +73,37 @@ class KnnSearcher {
   KnnOptions options_;
 };
 
-/// \brief Traversal core without finalization: runs the SS-tree search for
-/// `sq` into an externally owned list/stats/guard (the overlay's delta rows,
+/// \brief Traversal core without finalization: runs the search for `sq`
+/// into an externally owned list/stats/guard (the overlay's delta rows,
 /// if any, are scored up front exactly as in KnnSearcher::Search). The
-/// caller finalizes with TakeAnswers()/TakeAnswersWithin() — or merges
-/// several per-shard lists first (BestKnownList::MergeFrom), which is what
-/// the scatter-gather engine (src/shard/) does. The list's criterion/k/mode
-/// define the pruning; `stats` must be the object the list was built with.
+/// caller finalizes with FinishKnn() — or merges several per-shard lists
+/// first (BestKnownList::MergeFrom), which is what the scatter-gather
+/// engine (src/shard/) does. The list's criterion/k/mode define the
+/// pruning; `stats` must be the object the list was built with.
 void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
-                   SearchStrategy strategy, const SearchOverlay* overlay,
-                   BestKnownList* list, KnnStats* stats,
-                   TraversalGuard* guard);
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay = nullptr);
+void KnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay = nullptr);
+void KnnSearchInto(const VpTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay = nullptr);
+void KnnSearchInto(const MTree& tree, const Hypersphere& sq,
+                   SearchStrategy strategy, BestKnownList* list,
+                   KnnStats* stats, TraversalGuard* guard,
+                   const SearchOverlay* overlay = nullptr);
+
+/// \brief The finalize step every kNN search shares; consumes `list`.
+/// Runs the final-Sk filter, or — when a deadline cut the traversal
+/// short (`expired`) — the proven-subset filter below `pending_bound`
+/// (the smallest bound of any skipped subtree), flagging the result
+/// kBestEffort.
+void FinishKnn(BestKnownList* list, bool expired, double pending_bound,
+               KnnResult* result);
 
 /// \brief Reference evaluation of Definition 2 by linear scan: find distk
 /// and Sk exactly, then keep every hypersphere not dominated by Sk.

@@ -53,6 +53,21 @@ struct KnnStats {
   uint64_t removed_case1 = 0;
   uint64_t uncertain_verdicts = 0; ///< kUncertain verdicts (never pruned on)
   uint64_t nodes_deadline_skipped = 0;  ///< subtrees cut by deadline expiry
+
+  /// Field-wise sum: batch totals and sharded merges add per-query or
+  /// per-shard counters through this one place.
+  KnnStats& operator+=(const KnnStats& other) {
+    nodes_visited += other.nodes_visited;
+    nodes_pruned += other.nodes_pruned;
+    entries_accessed += other.entries_accessed;
+    dominance_checks += other.dominance_checks;
+    pruned_case2 += other.pruned_case2;
+    pruned_case3 += other.pruned_case3;
+    removed_case1 += other.removed_case1;
+    uncertain_verdicts += other.uncertain_verdicts;
+    nodes_deadline_skipped += other.nodes_deadline_skipped;
+    return *this;
+  }
 };
 
 /// Result of a kNN query.

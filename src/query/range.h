@@ -28,6 +28,15 @@ struct RangeStats {
   uint64_t nodes_pruned = 0;
   uint64_t entries_accessed = 0;
   uint64_t nodes_deadline_skipped = 0;
+
+  /// Field-wise sum (batch totals, sharded merges).
+  RangeStats& operator+=(const RangeStats& other) {
+    nodes_visited += other.nodes_visited;
+    nodes_pruned += other.nodes_pruned;
+    entries_accessed += other.entries_accessed;
+    nodes_deadline_skipped += other.nodes_deadline_skipped;
+    return *this;
+  }
 };
 
 /// Result of a range query.

@@ -11,7 +11,6 @@
 #include "exec/parallel_for.h"
 #include "obs/trace.h"
 #include "query/best_known_list.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -50,18 +49,6 @@ Deadline SplitDeadline(const Deadline& deadline, size_t shard, size_t shards) {
   Deadline d = deadline;
   d.SetNodeBudget(share);
   return d;
-}
-
-void AddStats(const KnnStats& in, KnnStats* out) {
-  out->nodes_visited += in.nodes_visited;
-  out->nodes_pruned += in.nodes_pruned;
-  out->entries_accessed += in.entries_accessed;
-  out->dominance_checks += in.dominance_checks;
-  out->pruned_case2 += in.pruned_case2;
-  out->pruned_case3 += in.pruned_case3;
-  out->removed_case1 += in.removed_case1;
-  out->uncertain_verdicts += in.uncertain_verdicts;
-  out->nodes_deadline_skipped += in.nodes_deadline_skipped;
 }
 
 void SortById(std::vector<DataEntry>* entries) {
@@ -118,33 +105,10 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
     HYPERDOM_SPAN(span, "shard/query");
     HYPERDOM_SPAN_ANNOTATE(span, "shard", static_cast<uint64_t>(j));
     store.CountShardQuery(j);
-    const Shard& s = store.shard(j);
-    switch (store.options().index) {
-      case ShardIndexKind::kSsTree:
-        if (s.ss != nullptr) {
-          KnnSearchInto(*s.ss, sq, options.strategy, /*overlay=*/nullptr,
-                        &lists[j], &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kRStarTree:
-        if (s.rstar != nullptr) {
-          RStarKnnSearchInto(*s.rstar, sq, options.strategy, &lists[j],
-                             &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kVpTree:
-        if (s.vp != nullptr) {
-          VpTreeKnnSearchInto(*s.vp, sq, options.strategy, &lists[j],
-                              &(*stats_out)[j], &guards[j]);
-        }
-        break;
-      case ShardIndexKind::kMTree:
-        if (s.m != nullptr) {
-          MTreeKnnSearchInto(*s.m, sq, options.strategy, &lists[j],
-                             &(*stats_out)[j], &guards[j]);
-        }
-        break;
-    }
+    store.shard(j).VisitIndex([&](const auto& tree) {
+      KnnSearchInto(tree, sq, options.strategy, &lists[j], &(*stats_out)[j],
+                    &guards[j]);
+    });
   });
 
   for (size_t j = 0; j < shards; ++j) {
@@ -177,13 +141,8 @@ Result<KnnResult> ShardedKnn(const ShardedStore& store, const Hypersphere& sq,
     expired = expired || g.expired();
     pending = std::min(pending, g.pending_bound());
   }
-  if (expired) {
-    result.completeness = Completeness::kBestEffort;
-    result.answers = merged.TakeAnswersWithin(pending);
-  } else {
-    result.answers = merged.TakeAnswers();
-  }
-  for (const KnnStats& s : *stats_out) AddStats(s, &result.stats);
+  FinishKnn(&merged, expired, pending, &result);
+  for (const KnnStats& s : *stats_out) result.stats += s;
   return result;
 }
 
@@ -238,10 +197,7 @@ Result<RangeResult> ShardedRange(const ShardedStore& store,
     if (p.completeness == Completeness::kBestEffort) {
       result.completeness = Completeness::kBestEffort;
     }
-    result.stats.nodes_visited += p.stats.nodes_visited;
-    result.stats.nodes_pruned += p.stats.nodes_pruned;
-    result.stats.entries_accessed += p.stats.entries_accessed;
-    result.stats.nodes_deadline_skipped += p.stats.nodes_deadline_skipped;
+    result.stats += p.stats;
   }
   // Canonical order: ids are unique across shards, so id order is total
   // and independent of K, policy, and traversal order.

@@ -78,6 +78,16 @@ struct Shard {
   std::unique_ptr<MTree> m;
 
   size_t size() const { return spheres.size(); }
+
+  /// Calls `fn(tree)` with the shard's index, whatever its kind; no call
+  /// for a shard without one.
+  template <typename Fn>
+  void VisitIndex(Fn&& fn) const {
+    if (ss != nullptr) fn(*ss);
+    if (rstar != nullptr) fn(*rstar);
+    if (vp != nullptr) fn(*vp);
+    if (m != nullptr) fn(*m);
+  }
 };
 
 /// \brief K shards over one dataset.

@@ -22,7 +22,6 @@
 #include "index/rstar_tree.h"
 #include "index/ss_tree.h"
 #include "index/vp_tree.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 #include "query/nn_iterator.h"
 #include "query/range.h"
@@ -216,12 +215,12 @@ TEST_P(KnnDeadlineTest, AlternativeIndexesYieldFlaggedSubsets) {
     };
     KnnOptions bounded = options;
     bounded.deadline = Deadline::WithNodeBudget(4);
-    check(RStarKnnSearch(rstar, sq, exact, options),
-          RStarKnnSearch(rstar, sq, exact, bounded), "R*-tree");
-    check(VpTreeKnnSearch(vp, sq, exact, options),
-          VpTreeKnnSearch(vp, sq, exact, bounded), "VP-tree");
-    check(MTreeKnnSearch(mtree, sq, exact, options),
-          MTreeKnnSearch(mtree, sq, exact, bounded), "M-tree");
+    check(KnnSearcher(&exact, options).Search(rstar, sq),
+          KnnSearcher(&exact, bounded).Search(rstar, sq), "R*-tree");
+    check(KnnSearcher(&exact, options).Search(vp, sq),
+          KnnSearcher(&exact, bounded).Search(vp, sq), "VP-tree");
+    check(KnnSearcher(&exact, options).Search(mtree, sq),
+          KnnSearcher(&exact, bounded).Search(mtree, sq), "M-tree");
   }
 }
 

@@ -19,7 +19,6 @@
 #include "data/generator.h"
 #include "dominance/hyperbola.h"
 #include "eval/workload.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -138,9 +137,9 @@ TEST_P(BatchKnnIdenticalTest, AlternativeIndexesMatchSerial) {
 
   std::vector<KnnResult> ref_rstar, ref_vp, ref_mtree;
   for (const auto& sq : queries) {
-    ref_rstar.push_back(RStarKnnSearch(rstar, sq, criterion, options));
-    ref_vp.push_back(VpTreeKnnSearch(vp, sq, criterion, options));
-    ref_mtree.push_back(MTreeKnnSearch(mtree, sq, criterion, options));
+    ref_rstar.push_back(KnnSearcher(&criterion, options).Search(rstar, sq));
+    ref_vp.push_back(KnnSearcher(&criterion, options).Search(vp, sq));
+    ref_mtree.push_back(KnnSearcher(&criterion, options).Search(mtree, sq));
   }
 
   for (size_t threads : kThreadCounts) {

@@ -5,7 +5,6 @@
 // with the exact criterion in deferred mode, i.e. identical to each other
 // and to the linear scan, for both traversal strategies.
 
-#include "query/index_knn.h"
 
 #include <gtest/gtest.h>
 
@@ -56,11 +55,11 @@ TEST_P(IndexEquivalenceTest, AllIndexesMatchLinearScan) {
   for (const auto& sq : MakeKnnQueries(data, 12, 2101)) {
     const auto truth = Ids(KnnLinearScan(data, sq, k, exact));
     EXPECT_EQ(Ids(ss_searcher.Search(ss_tree, sq)), truth) << "SS-tree";
-    EXPECT_EQ(Ids(RStarKnnSearch(rstar, sq, exact, options)), truth)
+    EXPECT_EQ(Ids(KnnSearcher(&exact, options).Search(rstar, sq)), truth)
         << "R*-tree";
-    EXPECT_EQ(Ids(VpTreeKnnSearch(vp, sq, exact, options)), truth)
+    EXPECT_EQ(Ids(KnnSearcher(&exact, options).Search(vp, sq)), truth)
         << "VP-tree";
-    EXPECT_EQ(Ids(MTreeKnnSearch(mtree, sq, exact, options)), truth)
+    EXPECT_EQ(Ids(KnnSearcher(&exact, options).Search(mtree, sq)), truth)
         << "M-tree";
   }
 }
@@ -76,12 +75,12 @@ TEST(IndexKnnTest, EmptyIndexesGiveEmptyResults) {
   KnnOptions options;
   const Hypersphere sq({0.0, 0.0}, 1.0);
   RStarTree rstar(2);
-  EXPECT_TRUE(RStarKnnSearch(rstar, sq, exact, options).answers.empty());
+  EXPECT_TRUE(KnnSearcher(&exact, options).Search(rstar, sq).answers.empty());
   VpTree vp;
   ASSERT_TRUE(vp.Build({}).ok());
-  EXPECT_TRUE(VpTreeKnnSearch(vp, sq, exact, options).answers.empty());
+  EXPECT_TRUE(KnnSearcher(&exact, options).Search(vp, sq).answers.empty());
   MTree mtree(2);
-  EXPECT_TRUE(MTreeKnnSearch(mtree, sq, exact, options).answers.empty());
+  EXPECT_TRUE(KnnSearcher(&exact, options).Search(mtree, sq).answers.empty());
 }
 
 TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
@@ -104,9 +103,9 @@ TEST(IndexKnnTest, WeakCriterionSupersetOnEveryIndex) {
   for (const auto& sq : MakeKnnQueries(data, 6, 2103)) {
     const auto truth = Ids(KnnLinearScan(data, sq, options.k, exact));
     for (const auto& result :
-         {RStarKnnSearch(rstar, sq, weak, options),
-          VpTreeKnnSearch(vp, sq, weak, options),
-          MTreeKnnSearch(mtree, sq, weak, options)}) {
+         {KnnSearcher(&weak, options).Search(rstar, sq),
+          KnnSearcher(&weak, options).Search(vp, sq),
+          KnnSearcher(&weak, options).Search(mtree, sq)}) {
       const auto weak_ids = Ids(result);
       for (uint64_t id : truth) {
         EXPECT_TRUE(weak_ids.count(id)) << "lost an exact answer";
@@ -127,7 +126,7 @@ TEST(IndexKnnTest, StatsReflectPruning) {
   HyperbolaCriterion exact;
   KnnOptions options;
   options.k = 5;
-  const KnnResult result = RStarKnnSearch(rstar, data[0], exact, options);
+  const KnnResult result = KnnSearcher(&exact, options).Search(rstar, data[0]);
   // A tight query over a large dataset must prune something and must not
   // touch every entry.
   EXPECT_GT(result.stats.nodes_pruned + result.stats.pruned_case3, 0u);

@@ -19,7 +19,6 @@
 #include "common/rng.h"
 #include "dominance/hyperbola.h"
 #include "exec/thread_pool.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 #include "query/range.h"
 
@@ -89,19 +88,19 @@ KnnResult UnshardedKnn(const std::vector<Hypersphere>& data,
       for (size_t i = 0; i < data.size(); ++i) {
         EXPECT_TRUE(tree.Insert(data[i], i).ok());
       }
-      return RStarKnnSearch(tree, sq, criterion, options);
+      return KnnSearcher(&criterion, options).Search(tree, sq);
     }
     case ShardIndexKind::kVpTree: {
       VpTree tree;
       EXPECT_TRUE(tree.Build(data).ok());
-      return VpTreeKnnSearch(tree, sq, criterion, options);
+      return KnnSearcher(&criterion, options).Search(tree, sq);
     }
     case ShardIndexKind::kMTree: {
       MTree tree(kDim);
       for (size_t i = 0; i < data.size(); ++i) {
         EXPECT_TRUE(tree.Insert(data[i], i).ok());
       }
-      return MTreeKnnSearch(tree, sq, criterion, options);
+      return KnnSearcher(&criterion, options).Search(tree, sq);
     }
   }
   return {};

@@ -22,7 +22,6 @@
 #include "eval/workload.h"
 #include "index/ss_tree.h"
 #include "index/vp_tree.h"
-#include "query/index_knn.h"
 #include "query/knn.h"
 
 namespace hyperdom {
@@ -103,8 +102,8 @@ TEST(SnapshotTest, VpTreeRoundTripPreservesQueryAnswers) {
 
   HyperbolaCriterion exact;
   for (const auto& sq : MakeKnnQueries(data, 8, 904)) {
-    EXPECT_EQ(Ids(VpTreeKnnSearch(loaded, sq, exact, KnnOptions{})),
-              Ids(VpTreeKnnSearch(tree, sq, exact, KnnOptions{})));
+    EXPECT_EQ(Ids(KnnSearcher(&exact, KnnOptions{}).Search(loaded, sq)),
+              Ids(KnnSearcher(&exact, KnnOptions{}).Search(tree, sq)));
   }
   std::remove(path.c_str());
 }
@@ -365,7 +364,7 @@ TEST(SnapshotMigrationTest, LegacyVpSnapshotLoadsIntoStore) {
   // The migrated store holds the source spheres bit-for-bit.
   HyperbolaCriterion exact;
   for (const auto& sq : MakeKnnQueries(data, 6, 916)) {
-    const auto got = VpTreeKnnSearch(loaded, sq, exact, KnnOptions{});
+    const auto got = KnnSearcher(&exact, KnnOptions{}).Search(loaded, sq);
     const auto want = KnnLinearScan(data, sq, KnnOptions{}.k, exact);
     EXPECT_EQ(Ids(got), Ids(want));
   }
