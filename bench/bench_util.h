@@ -103,6 +103,9 @@ inline bool WriteFile(const std::string& path, const std::string& body) {
 ///   --threads=N         worker threads for query workloads (0 = all
 ///                       cores); results are bit-identical at any value
 ///
+/// Any other flag prints the usage and exits 2 from the constructor,
+/// before the binary runs anything.
+///
 /// Usage: construct from (argc, argv), replace Print*Table calls with
 /// KnnSweep/DominanceSweep, and `return reporter.Finish();` from main.
 class Reporter {
@@ -123,13 +126,14 @@ class Reporter {
         threads_ = static_cast<size_t>(
             std::strtoull(arg.c_str() + 10, nullptr, 10));
       } else {
+        // Rejected before any work: a typo must not cost a whole sweep.
         std::fprintf(stderr,
                      "error: unknown flag '%s'\n"
                      "usage: %s [--smoke] [--json-out=FILE] "
                      "[--headline-out=FILE] [--metrics-out=FILE] "
                      "[--threads=N]\n",
                      arg.c_str(), argv[0]);
-        bad_flags_ = true;
+        std::exit(2);
       }
     }
   }
@@ -197,7 +201,6 @@ class Reporter {
 
   /// Writes the requested artifacts; the binary's exit code.
   int Finish() const {
-    if (bad_flags_) return 2;
     if (!json_out_.empty() || !headline_out_.empty()) {
       std::string body;
       body += "{\n  \"schema\": \"hyperdom-bench-v1\",\n";
@@ -256,7 +259,6 @@ class Reporter {
   std::string metrics_out_;
   size_t threads_ = 1;
   bool smoke_ = false;
-  bool bad_flags_ = false;
   std::vector<std::string> sweeps_;
 };
 

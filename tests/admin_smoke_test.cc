@@ -143,6 +143,57 @@ TEST(AdminSmokeTest, RealBinaryServesBothPlanesAndDrainsOnSigterm) {
   std::remove(csv_path.c_str());
 }
 
+// Execs the server on `csv_path` with both ports ephemeral; its stdout
+// comes back through `*stdout_fd`.
+pid_t SpawnServer(const std::string& csv_path, int* stdout_fd) {
+  int out_pipe[2];
+  if (::pipe(out_pipe) != 0) return -1;
+  const pid_t pid = ::fork();
+  if (pid == 0) {
+    ::dup2(out_pipe[1], STDOUT_FILENO);
+    ::close(out_pipe[0]);
+    ::close(out_pipe[1]);
+    const std::string data_flag = "--data=" + csv_path;
+    ::execl(HYPERDOM_SERVER_BINARY, HYPERDOM_SERVER_BINARY,
+            data_flag.c_str(), "--port=0", "--admin-port=0",
+            static_cast<char*>(nullptr));
+    ::_exit(127);  // exec failed
+  }
+  ::close(out_pipe[1]);
+  *stdout_fd = out_pipe[0];
+  return pid;
+}
+
+// The drain handlers must be in place before anything announces the
+// server: a supervisor may send SIGTERM the moment the first banner line
+// appears (or /readyz answers), and that must still drain and exit 0.
+TEST(AdminSmokeTest, SigtermRightAfterTheFirstBannerLineDrains) {
+  const std::string csv_path = ::testing::TempDir() + "/admin_smoke_early.csv";
+  SyntheticSpec spec;
+  spec.n = 500;
+  spec.dim = 3;
+  spec.seed = 12'200;
+  ASSERT_TRUE(SaveSpheresCsv(csv_path, GenerateSynthetic(spec)).ok());
+
+  int out_fd = -1;
+  const pid_t pid = SpawnServer(csv_path, &out_fd);
+  ASSERT_GT(pid, 0);
+  std::string output =
+      ReadUntil(out_fd, "hyperdom_server listening on", /*timeout_ms=*/15'000);
+  ASSERT_NE(output.find("hyperdom_server listening on"), std::string::npos)
+      << output;
+  ASSERT_EQ(::kill(pid, SIGTERM), 0);
+
+  int wstatus = 0;
+  ASSERT_EQ(::waitpid(pid, &wstatus, 0), pid);
+  output += ReadUntil(out_fd, "served ", /*timeout_ms=*/5'000);
+  ::close(out_fd);
+  std::remove(csv_path.c_str());
+  ASSERT_TRUE(WIFEXITED(wstatus)) << "killed by signal " << WTERMSIG(wstatus);
+  EXPECT_EQ(WEXITSTATUS(wstatus), 0);
+  EXPECT_NE(output.find("draining..."), std::string::npos) << output;
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace hyperdom

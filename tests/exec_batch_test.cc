@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstring>
+#include <type_traits>
 #include <vector>
 
 #include "common/fault.h"
@@ -331,6 +333,38 @@ TEST(RunBatchTest, ForksIndependentPerQueryRngStreams) {
     threaded[ctx.index] = ctx.rng.NextU64();
   });
   EXPECT_EQ(draws, threaded);
+}
+
+// Batch and shard totals sum stats through operator+=. The structs are
+// viewed as arrays of their uint64_t counters and every counter gets a
+// distinct value, so a counter added later but left out of the sum fails
+// here without this test naming it.
+template <typename Stats>
+void ExpectEveryCounterSummed() {
+  static_assert(std::is_trivially_copyable_v<Stats>);
+  static_assert(sizeof(Stats) % sizeof(uint64_t) == 0);
+  constexpr size_t kCounters = sizeof(Stats) / sizeof(uint64_t);
+  uint64_t lhs[kCounters], rhs[kCounters], sum[kCounters];
+  for (size_t i = 0; i < kCounters; ++i) {
+    lhs[i] = i + 1;
+    rhs[i] = 1000 * (i + 1);
+  }
+  Stats a, b;
+  std::memcpy(&a, lhs, sizeof(a));
+  std::memcpy(&b, rhs, sizeof(b));
+  EXPECT_EQ(&(a += b), &a);
+  std::memcpy(sum, &a, sizeof(a));
+  for (size_t i = 0; i < kCounters; ++i) {
+    EXPECT_EQ(sum[i], lhs[i] + rhs[i]) << "counter " << i;
+  }
+}
+
+TEST(StatsSumTest, KnnStatsPlusEqualsSumsEveryCounter) {
+  ExpectEveryCounterSummed<KnnStats>();
+}
+
+TEST(StatsSumTest, RangeStatsPlusEqualsSumsEveryCounter) {
+  ExpectEveryCounterSummed<RangeStats>();
 }
 
 }  // namespace

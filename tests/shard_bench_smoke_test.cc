@@ -8,10 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
+
+#include <sys/wait.h>
 
 namespace hyperdom {
 namespace {
@@ -62,6 +65,24 @@ TEST(ShardBenchSmokeTest, EmitsValidBenchArtifactWithIdenticalAnswers) {
 
   // The headline copy is byte-identical by construction.
   EXPECT_EQ(ReadFileOrDie(headline_path), json);
+}
+
+TEST(ShardBenchSmokeTest, UnknownFlagExitsTwoBeforeAnyWork) {
+  const std::string dir = ::testing::TempDir();
+  const std::string json_path = dir + "/BENCH_shard_bogus.json";
+  const std::string log_path = dir + "/BENCH_shard_bogus.log";
+  std::remove(json_path.c_str());
+  const std::string command = std::string(HYPERDOM_SHARD_BENCH_BINARY) +
+                              " --smoke --bogus --json-out=" + json_path +
+                              " > " + log_path + " 2>&1";
+  const int status = std::system(command.c_str());
+  ASSERT_TRUE(WIFEXITED(status)) << command;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << command;
+  EXPECT_FALSE(std::ifstream(json_path).good()) << json_path << " written";
+  // Rejected up front: the usage is printed and no sweep row ran.
+  const std::string log = ReadFileOrDie(log_path);
+  EXPECT_NE(log.find("unknown flag '--bogus'"), std::string::npos) << log;
+  EXPECT_EQ(log.find("time/query"), std::string::npos) << log;
 }
 
 }  // namespace

@@ -721,6 +721,24 @@ extern "C" void HandleServeSignal(int /*signum*/) {
   g_serve_shutdown.store(true, std::memory_order_relaxed);
 }
 
+// Routes SIGTERM/SIGINT to HandleServeSignal for its lifetime. Installed
+// before the listeners start: from the moment /readyz can answer or the
+// banner prints, a SIGTERM must drain rather than kill the process.
+class ServeSignalScope {
+ public:
+  ServeSignalScope() {
+    g_serve_shutdown.store(false, std::memory_order_relaxed);
+    std::signal(SIGTERM, HandleServeSignal);
+    std::signal(SIGINT, HandleServeSignal);
+  }
+  ~ServeSignalScope() {
+    std::signal(SIGTERM, SIG_DFL);
+    std::signal(SIGINT, SIG_DFL);
+  }
+  ServeSignalScope(const ServeSignalScope&) = delete;
+  ServeSignalScope& operator=(const ServeSignalScope&) = delete;
+};
+
 Status CmdServe(const ParsedArgs& args, std::ostream& out) {
   auto data = LoadData(args);
   if (!data.ok()) return data.status();
@@ -816,6 +834,8 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     HYPERDOM_RETURN_NOT_OK(tree->BulkLoad(*data));
     server.emplace(&*tree, criterion.get(), options);
   }
+  std::optional<ServeSignalScope> signals;
+  signals.emplace();
   HYPERDOM_RETURN_NOT_OK(server->Start());
   if (admin_enabled) {
     server::AdminOptions admin_options;
@@ -870,14 +890,11 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
   out << "SIGTERM/SIGINT drains in-flight queries and exits.\n";
   out.flush();
 
-  g_serve_shutdown.store(false, std::memory_order_relaxed);
-  std::signal(SIGTERM, HandleServeSignal);
-  std::signal(SIGINT, HandleServeSignal);
   while (!g_serve_shutdown.load(std::memory_order_relaxed)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  std::signal(SIGTERM, SIG_DFL);
-  std::signal(SIGINT, SIG_DFL);
+  // Default dispositions again: a second signal during the drain kills.
+  signals.reset();
   out << "draining...\n";
   out.flush();
   // Order matters: server->Stop() fires drain_begin_hook (readyz -> 503)
