@@ -2,7 +2,7 @@
 //
 // Shared types of the kNN machinery: traversal strategy, pruning-mode
 // semantics, per-query counters and results. Split out of knn.h so the
-// best-known list and the per-index searchers can share them.
+// best-known list can use them without the index headers.
 
 #ifndef HYPERDOM_QUERY_KNN_TYPES_H_
 #define HYPERDOM_QUERY_KNN_TYPES_H_
