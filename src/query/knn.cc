@@ -256,19 +256,19 @@ KnnResult KnnSearcher::Search(const SsTree& tree, const Hypersphere& sq,
   return SearchOne(tree, sq, overlay, criterion_, options_, "ss");
 }
 
-KnnResult KnnSearcher::Search(const RStarTree& tree, const Hypersphere& sq,
-                              const SearchOverlay* overlay) const {
-  return SearchOne(tree, sq, overlay, criterion_, options_, "rstar");
+KnnResult KnnSearcher::Search(const RStarTree& tree,
+                              const Hypersphere& sq) const {
+  return SearchOne(tree, sq, nullptr, criterion_, options_, "rstar");
 }
 
-KnnResult KnnSearcher::Search(const VpTree& tree, const Hypersphere& sq,
-                              const SearchOverlay* overlay) const {
-  return SearchOne(tree, sq, overlay, criterion_, options_, "vp");
+KnnResult KnnSearcher::Search(const VpTree& tree,
+                              const Hypersphere& sq) const {
+  return SearchOne(tree, sq, nullptr, criterion_, options_, "vp");
 }
 
-KnnResult KnnSearcher::Search(const MTree& tree, const Hypersphere& sq,
-                              const SearchOverlay* overlay) const {
-  return SearchOne(tree, sq, overlay, criterion_, options_, "m");
+KnnResult KnnSearcher::Search(const MTree& tree,
+                              const Hypersphere& sq) const {
+  return SearchOne(tree, sq, nullptr, criterion_, options_, "m");
 }
 
 void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
@@ -280,23 +280,20 @@ void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
 
 void KnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay) {
-  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+                   KnnStats* stats, TraversalGuard* guard) {
+  SearchInto(tree, sq, strategy, list, stats, guard, nullptr);
 }
 
 void KnnSearchInto(const VpTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay) {
-  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+                   KnnStats* stats, TraversalGuard* guard) {
+  SearchInto(tree, sq, strategy, list, stats, guard, nullptr);
 }
 
 void KnnSearchInto(const MTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay) {
-  SearchInto(tree, sq, strategy, list, stats, guard, overlay);
+                   KnnStats* stats, TraversalGuard* guard) {
+  SearchInto(tree, sq, strategy, list, stats, guard, nullptr);
 }
 
 void FinishKnn(BestKnownList* list, bool expired, double pending_bound,

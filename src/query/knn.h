@@ -50,21 +50,20 @@ class KnnSearcher {
  public:
   KnnSearcher(const DominanceCriterion* criterion, KnnOptions options);
 
-  /// \brief Runs the query against one index, optionally through a
-  /// mutability overlay (index/overlay.h): tombstoned base slots are
-  /// skipped and the overlay's delta rows are scored exhaustively before
-  /// the traversal (tightening distk early; the answer set is
-  /// traversal-order independent). The whole call runs under an epoch
-  /// guard, and its counters are published under the index's tag
-  /// ("ss"/"rstar"/"vp"/"m", query/knn_metrics.h).
+  /// \brief Runs the query against one index. The whole call runs under
+  /// an epoch guard, and its counters are published under the index's
+  /// tag ("ss"/"rstar"/"vp"/"m", query/knn_metrics.h).
+  ///
+  /// The SS-tree can also be searched through a mutability overlay
+  /// (index/overlay.h): tombstoned base slots are skipped and the
+  /// overlay's delta rows are scored exhaustively before the traversal
+  /// (tightening distk early; the answer set is traversal-order
+  /// independent). A null overlay searches the tree alone.
   KnnResult Search(const SsTree& tree, const Hypersphere& sq,
                    const SearchOverlay* overlay = nullptr) const;
-  KnnResult Search(const RStarTree& tree, const Hypersphere& sq,
-                   const SearchOverlay* overlay = nullptr) const;
-  KnnResult Search(const VpTree& tree, const Hypersphere& sq,
-                   const SearchOverlay* overlay = nullptr) const;
-  KnnResult Search(const MTree& tree, const Hypersphere& sq,
-                   const SearchOverlay* overlay = nullptr) const;
+  KnnResult Search(const RStarTree& tree, const Hypersphere& sq) const;
+  KnnResult Search(const VpTree& tree, const Hypersphere& sq) const;
+  KnnResult Search(const MTree& tree, const Hypersphere& sq) const;
 
   const KnnOptions& options() const { return options_; }
 
@@ -74,8 +73,8 @@ class KnnSearcher {
 };
 
 /// \brief Traversal core without finalization: runs the search for `sq`
-/// into an externally owned list/stats/guard (the overlay's delta rows,
-/// if any, are scored up front exactly as in KnnSearcher::Search). The
+/// into an externally owned list/stats/guard (an SS-tree overlay's delta
+/// rows, if any, are scored up front exactly as in KnnSearcher::Search). The
 /// caller finalizes with FinishKnn() — or merges several per-shard lists
 /// first (BestKnownList::MergeFrom), which is what the scatter-gather
 /// engine (src/shard/) does. The list's criterion/k/mode define the
@@ -86,16 +85,13 @@ void KnnSearchInto(const SsTree& tree, const Hypersphere& sq,
                    const SearchOverlay* overlay = nullptr);
 void KnnSearchInto(const RStarTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay = nullptr);
+                   KnnStats* stats, TraversalGuard* guard);
 void KnnSearchInto(const VpTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay = nullptr);
+                   KnnStats* stats, TraversalGuard* guard);
 void KnnSearchInto(const MTree& tree, const Hypersphere& sq,
                    SearchStrategy strategy, BestKnownList* list,
-                   KnnStats* stats, TraversalGuard* guard,
-                   const SearchOverlay* overlay = nullptr);
+                   KnnStats* stats, TraversalGuard* guard);
 
 /// \brief The finalize step every kNN search shares; consumes `list`.
 /// Runs the final-Sk filter, or — when a deadline cut the traversal
