@@ -228,10 +228,6 @@ KnnResult SearchOne(const Tree& tree, const Hypersphere& sq,
   EpochManager::Guard epoch_guard;
   KnnQueryRecorder recorder(index_tag);
   KnnResult result;
-  if (tree.root() == nullptr && overlay == nullptr) {
-    recorder.Publish(result);
-    return result;
-  }
   BestKnownList list(criterion, &sq, options.k, options.pruning_mode,
                      &result.stats);
   TraversalGuard guard(options.deadline);
