@@ -96,7 +96,8 @@ int main() {
     table.Print();
   }
   // Second ablation: bounding policy (centroid vs Welzl min-ball) and
-  // build path (repeated insertion vs STR packing), d = 8.
+  // build path (repeated insertion vs the top-down packed BulkLoadStr,
+  // the "STR" rows), d = 8.
   {
     SyntheticSpec spec;
     spec.n = 50'000;
@@ -159,8 +160,9 @@ int main() {
   std::printf(
       "\nReading: at comparable build cost the 2-means split yields\n"
       "modestly tighter node spheres (lower normalized r^2 mass) and\n"
-      "slightly fewer accessed entries per query. STR packing builds an\n"
-      "order of magnitude faster than repeated insertion; the Welzl\n"
-      "min-ball bound trades build time for tighter regions.\n");
+      "slightly fewer accessed entries per query. The packed bulk load\n"
+      "(STR rows) builds several times faster than repeated insertion,\n"
+      "two orders of magnitude with min-ball bounds; the Welzl min-ball\n"
+      "bound trades build time for tighter regions.\n");
   return 0;
 }

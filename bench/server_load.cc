@@ -198,8 +198,9 @@ int main(int argc, char** argv) {
   spec.seed = 18'000;
   const auto data = GenerateSynthetic(spec);
 
+  // Built the way `hyperdom_cli serve` builds its read-only tree.
   SsTree tree(spec.dim);
-  const Status st = tree.BulkLoad(data);
+  const Status st = tree.BulkLoadStr(data);
   (void)st;  // generated data is well-formed
   const std::vector<Hypersphere> queries =
       MakeKnnQueries(data, reporter.Scaled(1'000, 100), 18'100);

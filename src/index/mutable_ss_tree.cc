@@ -171,6 +171,26 @@ inline bool VisibleAt(uint64_t deleted_at, uint64_t version) {
   return deleted_at == 0 || deleted_at > version;
 }
 
+/// slot -> id over a packed tree's leaves. The packer writes rows in leaf
+/// order, so slots are not input positions; the entries are the map.
+std::vector<uint64_t> SlotIds(const SsTree& tree) {
+  std::vector<uint64_t> slot_ids(tree.store().size());
+  if (tree.root() == nullptr) return slot_ids;
+  std::vector<const SsTreeNode*> stack{tree.root()};
+  while (!stack.empty()) {
+    const SsTreeNode* node = stack.back();
+    stack.pop_back();
+    if (node->is_leaf()) {
+      for (const SsTreeEntry& entry : node->entries()) {
+        slot_ids[entry.slot] = entry.id;
+      }
+    } else {
+      for (const auto& child : node->children()) stack.push_back(child.get());
+    }
+  }
+  return slot_ids;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -395,11 +415,8 @@ Status MutableSsTree::Build(const std::vector<Hypersphere>& spheres,
   }
   if (compacting_) return Status::Conflict("compaction in progress");
 
-  auto base = std::make_shared<BaseState>(dim_, options_.tree);
-  HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
-  base->slot_ids = ids;
-  const size_t n = base->tree.store().size();
-  if (n > 0) base->deleted_at.reset(new std::atomic<uint64_t>[n]());
+  std::shared_ptr<BaseState> base;
+  HYPERDOM_RETURN_NOT_OK(BuildBase(spheres, ids, &base));
 
   const TreeVersion* cur = head_.load(std::memory_order_relaxed);
   auto* next = new TreeVersion;
@@ -407,14 +424,29 @@ Status MutableSsTree::Build(const std::vector<Hypersphere>& spheres,
   next->base = std::move(base);
   next->delta = std::make_shared<DeltaLog>(dim_);
   next->live = ids.size();
-
-  locs_.clear();
-  locs_.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    locs_[ids[i]] = Loc{false, i};
-  }
+  ResetLocsLocked(*next->base);
   PublishLocked(next);
   return Status::OK();
+}
+
+Status MutableSsTree::BuildBase(const std::vector<Hypersphere>& spheres,
+                                const std::vector<uint64_t>& ids,
+                                std::shared_ptr<BaseState>* out) const {
+  auto base = std::make_shared<BaseState>(dim_, options_.tree);
+  HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
+  base->slot_ids = SlotIds(base->tree);
+  const size_t n = base->slot_ids.size();
+  if (n > 0) base->deleted_at.reset(new std::atomic<uint64_t>[n]());
+  *out = std::move(base);
+  return Status::OK();
+}
+
+void MutableSsTree::ResetLocsLocked(const BaseState& base) {
+  locs_.clear();
+  locs_.reserve(base.slot_ids.size());
+  for (size_t slot = 0; slot < base.slot_ids.size(); ++slot) {
+    locs_[base.slot_ids[slot]] = Loc{false, slot};
+  }
 }
 
 Status MutableSsTree::BuildFromTree(const SsTree& tree) {
@@ -483,11 +515,8 @@ Status MutableSsTree::CompactBuild() {
   HYPERDOM_FAULT_POINT("store/compact");
   if (options_.compaction_hook) options_.compaction_hook();
 
-  auto base = std::make_shared<BaseState>(dim_, options_.tree);
-  HYPERDOM_RETURN_NOT_OK(base->tree.BulkLoadStrWithIds(spheres, ids));
-  base->slot_ids = ids;
-  const size_t n = base->tree.store().size();
-  if (n > 0) base->deleted_at.reset(new std::atomic<uint64_t>[n]());
+  std::shared_ptr<BaseState> base;
+  HYPERDOM_RETURN_NOT_OK(BuildBase(spheres, ids, &base));
 
   auto* next = new TreeVersion;
   next->base = std::move(base);
@@ -497,11 +526,7 @@ Status MutableSsTree::CompactBuild() {
   std::lock_guard<std::mutex> lock(writer_mu_);
   const TreeVersion* cur = head_.load(std::memory_order_relaxed);
   next->version = cur->version + 1;
-  locs_.clear();
-  locs_.reserve(ids.size());
-  for (size_t i = 0; i < ids.size(); ++i) {
-    locs_[ids[i]] = Loc{false, i};
-  }
+  ResetLocsLocked(*next->base);
   PublishLocked(next);
   return Status::OK();
 }

@@ -194,6 +194,14 @@ class MutableSsTree {
   /// The build phase of Compact(); runs with compacting_ set and the
   /// writer mutex released.
   Status CompactBuild();
+  /// Bulk-loads a fresh base over `spheres` (tagged by `ids`) and maps
+  /// its slots to ids from the packed leaves.
+  Status BuildBase(const std::vector<Hypersphere>& spheres,
+                   const std::vector<uint64_t>& ids,
+                   std::shared_ptr<BaseState>* out) const;
+  /// Points locs_ at `base`'s slots (every live row is in the base).
+  /// Caller holds writer_mu_.
+  void ResetLocsLocked(const BaseState& base);
   /// Swaps in `next` as the published head and retires the old version.
   /// Caller holds writer_mu_.
   void PublishLocked(const TreeVersion* next);

@@ -117,42 +117,124 @@ void SsTree::RebuildNodeStats(SsTreeNode* node) {
   RefreshBoundingSphere(node);
 }
 
-void SsTree::StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
-                     size_t dim_index, size_t leaf_capacity,
-                     std::vector<std::unique_ptr<SsTreeNode>>* leaves) {
-  const size_t n = hi - lo;
-  if (n <= leaf_capacity) {
-    auto leaf = std::make_unique<SsTreeNode>(/*is_leaf=*/true);
-    leaf->entries_.assign(entries->begin() + lo, entries->begin() + hi);
-    RebuildNodeStats(leaf.get());
-    leaves->push_back(std::move(leaf));
-    return;
-  }
-  const SphereStore& store = *store_;
-  std::sort(entries->begin() + lo, entries->begin() + hi,
-            [dim_index, &store](const SsTreeEntry& a, const SsTreeEntry& b) {
-              return store.center(a.slot)[dim_index] <
-                     store.center(b.slot)[dim_index];
-            });
-  const size_t remaining_dims = dim_ - std::min(dim_index, dim_ - 1);
-  const double pages = static_cast<double>(n) / leaf_capacity;
-  size_t slabs =
-      remaining_dims <= 1
-          ? n / leaf_capacity + (n % leaf_capacity != 0 ? 1 : 0)
-          : static_cast<size_t>(
-                std::ceil(std::pow(pages, 1.0 / remaining_dims)));
-  slabs = std::max<size_t>(2, std::min(slabs, n / 2));
-  const size_t slab_size = (n + slabs - 1) / slabs;
-  const size_t next_dim = dim_index + 1 < dim_ ? dim_index + 1 : dim_index;
-  for (size_t start = lo; start < hi; start += slab_size) {
-    StrTile(entries, start, std::min(start + slab_size, hi), next_dim,
-            leaf_capacity, leaves);
-  }
-}
-
 Status SsTree::BulkLoadStr(const std::vector<Hypersphere>& spheres) {
   return BulkLoadStrWithIds(spheres, {});
 }
+
+// Top-down packing. The height is the smallest h with capacity^h >= n; a
+// node of height h over m entries gets ceil(m / capacity^(h-1)) children,
+// cut out of its run of `items_` by recursive median cuts on the center
+// coordinate of widest spread. Ties break by input position, so the cuts
+// are a function of the input alone, whatever order nth_element leaves.
+// Group sizes differ by at most one, which keeps every non-root node at
+// two or more entries. Leaves are made in DFS order and each appends its
+// rows to the store as it is made, so a leaf's slots are one contiguous
+// run and the store is written once.
+class SsTree::TopDownPacker {
+ public:
+  TopDownPacker(SsTree* tree, const std::vector<Hypersphere>& spheres,
+                const std::vector<uint64_t>& ids, size_t capacity)
+      : tree_(tree), spheres_(spheres), ids_(ids), capacity_(capacity),
+        items_(spheres.size()) {
+    for (size_t i = 0; i < items_.size(); ++i) {
+      items_[i].pos = static_cast<uint32_t>(i);
+    }
+  }
+
+  std::unique_ptr<SsTreeNode> Pack() {
+    size_t height = 1;
+    size_t span = capacity_;  // entries a subtree of `height` holds
+    while (span < items_.size()) {
+      span *= capacity_;
+      ++height;
+    }
+    return Node(0, items_.size(), height, span / capacity_);
+  }
+
+ private:
+  /// An entry being packed: its input position and the coordinate the
+  /// current cut sorts on, side by side so nth_element stays sequential.
+  struct Item {
+    double key = 0.0;
+    uint32_t pos = 0;
+    bool operator<(const Item& other) const {
+      return key < other.key || (key == other.key && pos < other.pos);
+    }
+  };
+
+  // Packs items_[lo, hi) into a subtree of `height`, each child holding at
+  // most `child_span` entries.
+  std::unique_ptr<SsTreeNode> Node(size_t lo, size_t hi, size_t height,
+                                   size_t child_span) {
+    auto node = std::make_unique<SsTreeNode>(/*is_leaf=*/height == 1);
+    if (height == 1) {
+      // Input order within the leaf, so the slot order does not depend on
+      // how nth_element left the range.
+      std::sort(items_.begin() + lo, items_.begin() + hi,
+                [](const Item& a, const Item& b) { return a.pos < b.pos; });
+      SphereStore& store = *tree_->store_;
+      node->entries_.reserve(hi - lo);
+      for (size_t i = lo; i < hi; ++i) {
+        const uint32_t pos = items_[i].pos;
+        node->entries_.push_back(SsTreeEntry{
+            store.Add(spheres_[pos]), ids_.empty() ? pos : ids_[pos]});
+      }
+    } else {
+      const size_t groups = (hi - lo + child_span - 1) / child_span;
+      node->children_.reserve(groups);
+      Split(node.get(), lo, hi, groups, height - 1, child_span / capacity_);
+    }
+    tree_->RebuildNodeStats(node.get());
+    return node;
+  }
+
+  // Cuts items_[lo, hi) into `groups` runs of near-equal size and packs
+  // each, left to right, as a child of `parent`.
+  void Split(SsTreeNode* parent, size_t lo, size_t hi, size_t groups,
+             size_t height, size_t child_span) {
+    if (groups == 1) {
+      parent->children_.push_back(Node(lo, hi, height, child_span));
+      return;
+    }
+    const size_t left_groups = groups / 2;
+    const size_t mid = lo + (hi - lo) * left_groups / groups;
+    const size_t axis = WidestAxis(lo, hi);
+    for (size_t i = lo; i < hi; ++i) {
+      items_[i].key = spheres_[items_[i].pos].center()[axis];
+    }
+    std::nth_element(items_.begin() + lo, items_.begin() + mid,
+                     items_.begin() + hi);
+    Split(parent, lo, mid, left_groups, height, child_span);
+    Split(parent, mid, hi, groups - left_groups, height, child_span);
+  }
+
+  // The center coordinate with the largest max - min over items_[lo, hi);
+  // the lowest index among equals.
+  size_t WidestAxis(size_t lo, size_t hi) const {
+    const size_t dim = tree_->dim_;
+    std::vector<double> low(dim, std::numeric_limits<double>::infinity());
+    std::vector<double> high(dim, -std::numeric_limits<double>::infinity());
+    for (size_t i = lo; i < hi; ++i) {
+      const double* c = spheres_[items_[i].pos].center().data();
+      for (size_t d = 0; d < dim; ++d) {
+        low[d] = std::min(low[d], c[d]);
+        high[d] = std::max(high[d], c[d]);
+      }
+    }
+    size_t axis = 0;
+    for (size_t d = 1; d < dim; ++d) {
+      if (high[d] - low[d] > high[axis] - low[axis]) axis = d;
+    }
+    return axis;
+  }
+
+  SsTree* tree_;
+  const std::vector<Hypersphere>& spheres_;
+  const std::vector<uint64_t>& ids_;
+  const size_t capacity_;
+  /// Permuted in place by the cuts; a node's entries are one run.
+  std::vector<Item> items_;
+};
 
 Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
                                   const std::vector<uint64_t>& ids) {
@@ -160,6 +242,12 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
   HYPERDOM_RETURN_NOT_OK(ValidateOptions());
   if (!ids.empty() && ids.size() != spheres.size()) {
     return Status::InvalidArgument("ids and spheres must have equal sizes");
+  }
+  for (const Hypersphere& sphere : spheres) {
+    if (sphere.dim() != dim_) {
+      return Status::InvalidArgument(
+          "all spheres must share the tree's dimensionality");
+    }
   }
   HYPERDOM_FAULT_POINT("ss_tree/str_pack");
   root_.reset();
@@ -170,53 +258,13 @@ Status SsTree::BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
     return Status::OK();
   }
 
-  std::vector<SsTreeEntry> entries;
-  entries.reserve(spheres.size());
-  store_->Reserve(spheres.size());
-  for (size_t i = 0; i < spheres.size(); ++i) {
-    if (spheres[i].dim() != dim_) {
-      return Status::InvalidArgument(
-          "all spheres must share the tree's dimensionality");
-    }
-    const uint32_t slot = store_->Add(spheres[i]);
-    entries.push_back(SsTreeEntry{
-        slot, ids.empty() ? static_cast<uint64_t>(i) : ids[i]});
-  }
-
   // Pack at ~85% occupancy: full packing turns every subsequent insert
   // into a cascade of splits.
   const size_t capacity = std::max<size_t>(
       2,
       static_cast<size_t>(0.85 * static_cast<double>(options_.max_entries)));
-  std::vector<std::unique_ptr<SsTreeNode>> level;
-  StrTile(&entries, 0, entries.size(), 0, capacity, &level);
-
-  // Pack levels bottom-up; consecutive nodes are spatially coherent thanks
-  // to the tiling order.
-  while (level.size() > 1) {
-    std::vector<std::unique_ptr<SsTreeNode>> parents;
-    for (size_t start = 0; start < level.size(); start += capacity) {
-      auto parent = std::make_unique<SsTreeNode>(/*is_leaf=*/false);
-      const size_t end = std::min(start + capacity, level.size());
-      for (size_t i = start; i < end; ++i) {
-        parent->children_.push_back(std::move(level[i]));
-      }
-      RebuildNodeStats(parent.get());
-      parents.push_back(std::move(parent));
-    }
-    // Avoid a single-child non-root chain: if the last parent ended up
-    // with one child while siblings exist, rebalance by moving one over.
-    if (parents.size() > 1 && parents.back()->children_.size() < 2) {
-      auto& prev = parents[parents.size() - 2];
-      parents.back()->children_.insert(parents.back()->children_.begin(),
-                                       std::move(prev->children_.back()));
-      prev->children_.pop_back();
-      RebuildNodeStats(prev.get());
-      RebuildNodeStats(parents.back().get());
-    }
-    level = std::move(parents);
-  }
-  root_ = std::move(level.front());
+  store_->Reserve(spheres.size());
+  root_ = TopDownPacker(this, spheres, ids, capacity).Pack();
   size_ = spheres.size();
   recorder.Finish(size_);
   return Status::OK();

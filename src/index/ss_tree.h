@@ -19,8 +19,9 @@
 //     split by the configured SsTreeSplitPolicy, subject to the options'
 //     minimum fill ratio.
 //   * Optional extras beyond White & Jain: SS+-style 2-means splits,
-//     Welzl min-ball node bounds, STR bulk loading, deletion with
-//     underflow dissolution, and binary persistence.
+//     Welzl min-ball node bounds, top-down tiled bulk loading (store rows
+//     in leaf order), deletion with underflow dissolution, and binary
+//     persistence.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
 #define HYPERDOM_INDEX_SS_TREE_H_
@@ -123,17 +124,21 @@ class SsTree {
   /// index once per dataset).
   Status BulkLoad(const std::vector<Hypersphere>& spheres);
 
-  /// \brief Bulk-loads with Sort-Tile-Recursive packing (Leutenegger et
-  /// al.): entries are tiled into spatially coherent leaves by recursive
-  /// coordinate sorting, then packed bottom-up. Much faster than repeated
-  /// insertion and usually tighter. Replaces any previous contents; ids
+  /// \brief Bulk-loads by top-down tiling, a tile-recursive packing in
+  /// the spirit of STR (Leutenegger et al.): the height follows from n at
+  /// ~85% node occupancy, and each node's entries are split into its
+  /// children by recursive median cuts on the center coordinate of widest
+  /// spread (ties broken by input position). Much faster than repeated
+  /// insertion. The store is written once, leaf by leaf in
+  /// DFS order, so every leaf's rows are one contiguous run of slots and
+  /// slots are NOT input positions. Replaces any previous contents; ids
   /// are positions in `spheres`.
   Status BulkLoadStr(const std::vector<Hypersphere>& spheres);
 
   /// BulkLoadStr with caller-supplied ids (`ids[i]` tags `spheres[i]`;
-  /// sizes must match). The compaction path of the mutable store uses
-  /// this to rebuild a fresh tree while preserving the external ids the
-  /// rows were inserted under.
+  /// sizes must match). The mutable store's build and compaction, the
+  /// shards and the snapshot rebuild use this; map slots back to ids
+  /// through the leaves' entries.
   Status BulkLoadStrWithIds(const std::vector<Hypersphere>& spheres,
                             const std::vector<uint64_t>& ids);
 
@@ -210,10 +215,8 @@ class SsTree {
   static Status LoadNodeV3(std::istream& in, const SphereStore& store,
                            size_t max_entries, size_t depth,
                            std::unique_ptr<SsTreeNode>* out_node);
-  /// Recursive STR tiler: packs entries[lo, hi) into leaves.
-  void StrTile(std::vector<SsTreeEntry>* entries, size_t lo, size_t hi,
-               size_t dim_index, size_t leaf_capacity,
-               std::vector<std::unique_ptr<SsTreeNode>>* leaves);
+  /// The top-down tiler behind BulkLoadStrWithIds (ss_tree.cc).
+  class TopDownPacker;
   /// Recomputes a node's centroid bookkeeping and bounding sphere from its
   /// current payload (bulk-load/delete helper).
   void RebuildNodeStats(SsTreeNode* node);

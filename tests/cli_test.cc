@@ -75,6 +75,25 @@ TEST(CliTest, HelpAndUnknownCommand) {
   EXPECT_NE(bad.err.find("unknown command"), std::string::npos);
 }
 
+TEST(CliTest, ServeRejectsUnknownFlagBeforeLoadingData) {
+  // The data file does not exist: loading it first would exit 1, and a
+  // loadable one would start listening.
+  const CliRun run =
+      RunCli({"serve", "--data=" + testing::TempDir() + "/hyperdom_no_such.csv",
+              "--port=0", "--mutabel=1"});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_NE(run.err.find("unknown flag --mutabel for 'serve'"),
+            std::string::npos)
+      << run.err;
+}
+
+TEST(CliTest, GlobalFlagsAreAcceptedByEveryCommand) {
+  const CliRun run = RunCli({"dominate", "--sa=4,0;1", "--sb=12,0;1",
+                             "--sq=0,0;1.5", "--criterion=hyperbola",
+                             "--seed=3", "--log-level=warn"});
+  EXPECT_EQ(run.exit_code, 0) << run.err;
+}
+
 TEST(CliTest, DominateCommand) {
   const CliRun run = RunCli({"dominate", "--sa=4,0;1", "--sb=12,0;1",
                              "--sq=0,0;1.5", "--criterion=hyperbola"});
@@ -141,6 +160,17 @@ TEST_F(CliPipelineTest, KnnCommand) {
 TEST_F(CliPipelineTest, KnnRejectsBadQueryDim) {
   const CliRun run = RunCli({"knn", "--data=" + path_, "--query=1,2;5"});
   EXPECT_EQ(run.exit_code, 1);
+}
+
+TEST_F(CliPipelineTest, KnnRejectsUnknownFlag) {
+  // A typo'd --certified must not silently run the default criterion.
+  const CliRun run = RunCli({"knn", "--data=" + path_,
+                             "--query=100,100,100;5", "--certifed=1"});
+  EXPECT_EQ(run.exit_code, 2);
+  EXPECT_EQ(run.out, "");
+  EXPECT_NE(run.err.find("unknown flag --certifed for 'knn'"),
+            std::string::npos)
+      << run.err;
 }
 
 TEST_F(CliPipelineTest, RankCommand) {

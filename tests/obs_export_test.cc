@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -20,8 +22,11 @@
 namespace hyperdom {
 namespace {
 
+// ctest runs each TEST of this binary in its own process, concurrently
+// under `ctest -j`; the pid keeps one process's files (the shared dataset
+// above all, which TearDownTestSuite deletes) out of another's way.
 std::string TempPath(const std::string& name) {
-  return ::testing::TempDir() + "/" + name;
+  return ::testing::TempDir() + "/" + std::to_string(::getpid()) + "_" + name;
 }
 
 std::string ReadFileOrDie(const std::string& path) {

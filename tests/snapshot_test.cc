@@ -12,6 +12,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <numeric>
 #include <set>
 #include <string>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "index/ss_tree.h"
 #include "index/vp_tree.h"
 #include "query/knn.h"
+#include "test_util.h"
 
 namespace hyperdom {
 namespace {
@@ -79,6 +81,10 @@ TEST(SnapshotTest, SsTreeRoundTripPreservesQueryAnswers) {
   ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
   EXPECT_EQ(loaded.size(), tree.size());
   EXPECT_EQ(loaded.dim(), tree.dim());
+  // The packed tree's store rows stay in leaf order across the reload.
+  std::vector<uint32_t> leaf_order(data.size());
+  std::iota(leaf_order.begin(), leaf_order.end(), 0u);
+  EXPECT_EQ(test::LeafSlotsInDfsOrder(loaded), leaf_order);
 
   HyperbolaCriterion exact;
   KnnSearcher searcher(&exact, KnnOptions{});

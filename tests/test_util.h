@@ -14,6 +14,7 @@
 #include "common/rng.h"
 #include "dominance/numeric_oracle.h"
 #include "geometry/hypersphere.h"
+#include "index/ss_tree.h"
 
 namespace hyperdom {
 namespace test {
@@ -73,6 +74,27 @@ inline bool IsBorderline(const Scene& s, double tol = 1e-6) {
 inline std::string SceneToString(const Scene& s) {
   return "Sa=" + s.sa.ToString() + " Sb=" + s.sb.ToString() +
          " Sq=" + s.sq.ToString();
+}
+
+/// Every leaf entry's store slot, leaves visited depth-first with
+/// children in order. A tree from SsTree::BulkLoadStr lists 0, 1, ..., n-1.
+inline std::vector<uint32_t> LeafSlotsInDfsOrder(const SsTree& tree) {
+  std::vector<uint32_t> slots;
+  if (tree.root() == nullptr) return slots;
+  std::vector<const SsTreeNode*> stack = {tree.root()};
+  while (!stack.empty()) {
+    const SsTreeNode* node = stack.back();
+    stack.pop_back();
+    if (node->is_leaf()) {
+      for (const auto& e : node->entries()) slots.push_back(e.slot);
+    } else {
+      for (auto it = node->children().rbegin(); it != node->children().rend();
+           ++it) {
+        stack.push_back(it->get());
+      }
+    }
+  }
+  return slots;
 }
 
 }  // namespace test

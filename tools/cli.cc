@@ -7,8 +7,11 @@
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
 #include <optional>
+#include <string>
+#include <string_view>
 #include <thread>
 
 #include <cmath>
@@ -113,9 +116,10 @@ constexpr char kUsage[] =
     "serve --shards=K partitions the store into K shards queried scatter-\n"
     "gather with bit-identical answers (--shard-policy picks hash or\n"
     "kmeans placement); incompatible with --mutable=1.\n"
-    "exit codes: 0 success, 1 command error, 2 usage error, 3 server\n"
-    "overloaded, 4 deadline exceeded, 5 protocol error, 6 mutation\n"
-    "conflict (store frozen or compacting — safe to retry later).\n";
+    "exit codes: 0 success, 1 command error, 2 usage error (also a flag\n"
+    "the command does not take), 3 server overloaded, 4 deadline\n"
+    "exceeded, 5 protocol error, 6 mutation conflict (store frozen or\n"
+    "compacting — safe to retry later).\n";
 
 Result<uint64_t> RequireUint(const ParsedArgs& args, const std::string& key,
                              uint64_t fallback, bool required) {
@@ -831,7 +835,7 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     server.emplace(&*mutable_tree, criterion.get(), options);
   } else {
     tree.emplace(data->front().dim());
-    HYPERDOM_RETURN_NOT_OK(tree->BulkLoad(*data));
+    HYPERDOM_RETURN_NOT_OK(tree->BulkLoadStr(*data));
     server.emplace(&*tree, criterion.get(), options);
   }
   std::optional<ServeSignalScope> signals;
@@ -1174,6 +1178,71 @@ Status WriteObservabilityOutputs([[maybe_unused]] const ParsedArgs& args,
   return Status::OK();
 }
 
+// Flags every command accepts: fault injection (ArmFaultsFromFlags, which
+// --seed also seeds), the observability exports and the logger
+// (SetupObservabilityFromFlags).
+constexpr std::string_view kGlobalFlags[] = {
+    "fault-site", "fault-rate", "fault-nth", "seed",
+    "metrics-out", "trace-out", "log-level", "log-out"};
+
+// One command: its name, its body and the flags it reads besides
+// kGlobalFlags.
+struct CommandSpec {
+  std::string_view name;
+  Status (*run)(const ParsedArgs& args, std::ostream& out);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<CommandSpec>& Commands() {
+  static const std::vector<CommandSpec> commands = {
+      {"generate", CmdGenerate, {"out", "n", "dim", "mu", "centers", "radii"}},
+      {"dominate", CmdDominate, {"sa", "sb", "sq", "criterion"}},
+      {"knn",
+       CmdKnn,
+       {"data", "query", "k", "criterion", "strategy", "certified",
+        "deadline-ms", "node-budget", "queries", "threads"}},
+      {"rank", CmdRank, {"data", "target", "query", "criterion"}},
+      {"range", CmdRange, {"data", "query", "range"}},
+      {"probknn", CmdProbKnn, {"data", "query", "k", "tau", "samples"}},
+      {"expiry", CmdExpiry, {"sa", "sb", "sq", "va", "vb", "vq", "horizon"}},
+      {"selfcheck", CmdSelfCheck, {"scenes", "dim", "mu", "certified"}},
+      {"snapshot", CmdSnapshot, {"op", "file", "index", "data"}},
+      {"experiment", CmdExperiment, {"data", "queries", "repeats"}},
+      {"serve",
+       CmdServe,
+       {"data", "port", "host", "threads", "queue-capacity",
+        "max-connections", "io-timeout-ms", "criterion", "mutable",
+        "admin-port", "slow-query-ms", "shards", "shard-policy"}},
+      {"query",
+       CmdQuery,
+       {"server", "query", "k", "strategy", "budget-ms", "node-budget",
+        "timeout-ms", "attempts"}},
+      {"insert",
+       CmdInsert,
+       {"server", "id", "sphere", "budget-ms", "timeout-ms", "attempts"}},
+      {"remove",
+       CmdRemove,
+       {"server", "id", "budget-ms", "timeout-ms", "attempts"}},
+      {"metrics", CmdMetrics, {}},
+  };
+  return commands;
+}
+
+// The first flag in `args` that neither `command` nor every command takes,
+// or "" when all are known.
+std::string UnknownFlag(const ParsedArgs& args, const CommandSpec& command) {
+  for (const auto& flag : args.flags) {
+    const std::string_view name = flag.first;
+    if (std::find(std::begin(kGlobalFlags), std::end(kGlobalFlags), name) ==
+            std::end(kGlobalFlags) &&
+        std::find(command.flags.begin(), command.flags.end(), name) ==
+            command.flags.end()) {
+      return flag.first;
+    }
+  }
+  return "";
+}
+
 }  // namespace
 
 std::string ParsedArgs::GetFlag(const std::string& key,
@@ -1242,6 +1311,26 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << parsed.status().ToString() << "\n" << kUsage;
     return 2;
   }
+  if (parsed->command == "help") {
+    out << kUsage;
+    return 0;
+  }
+  const auto& commands = Commands();
+  const auto command = std::find_if(
+      commands.begin(), commands.end(),
+      [&](const CommandSpec& c) { return c.name == parsed->command; });
+  if (command == commands.end()) {
+    err << "error: unknown command '" << parsed->command << "'\n" << kUsage;
+    return 2;
+  }
+  // A mistyped flag must fail before any data loads or socket listens, not
+  // run the default path.
+  const std::string unknown = UnknownFlag(*parsed, *command);
+  if (!unknown.empty()) {
+    err << "error: unknown flag --" << unknown << " for '" << parsed->command
+        << "'\n" << kUsage;
+    return 2;
+  }
   const Status armed = ArmFaultsFromFlags(*parsed);
   if (!armed.ok()) {
     err << "error: " << armed.ToString() << "\n";
@@ -1252,44 +1341,7 @@ int Run(const std::vector<std::string>& args, std::ostream& out,
     err << "error: " << observing.ToString() << "\n";
     return 2;
   }
-  Status status;
-  if (parsed->command == "generate") {
-    status = CmdGenerate(*parsed, out);
-  } else if (parsed->command == "dominate") {
-    status = CmdDominate(*parsed, out);
-  } else if (parsed->command == "knn") {
-    status = CmdKnn(*parsed, out);
-  } else if (parsed->command == "rank") {
-    status = CmdRank(*parsed, out);
-  } else if (parsed->command == "range") {
-    status = CmdRange(*parsed, out);
-  } else if (parsed->command == "probknn") {
-    status = CmdProbKnn(*parsed, out);
-  } else if (parsed->command == "expiry") {
-    status = CmdExpiry(*parsed, out);
-  } else if (parsed->command == "selfcheck") {
-    status = CmdSelfCheck(*parsed, out);
-  } else if (parsed->command == "snapshot") {
-    status = CmdSnapshot(*parsed, out);
-  } else if (parsed->command == "experiment") {
-    status = CmdExperiment(*parsed, out);
-  } else if (parsed->command == "serve") {
-    status = CmdServe(*parsed, out);
-  } else if (parsed->command == "query") {
-    status = CmdQuery(*parsed, out);
-  } else if (parsed->command == "insert") {
-    status = CmdInsert(*parsed, out);
-  } else if (parsed->command == "remove") {
-    status = CmdRemove(*parsed, out);
-  } else if (parsed->command == "metrics") {
-    status = CmdMetrics(*parsed, out);
-  } else if (parsed->command == "help") {
-    out << kUsage;
-    return 0;
-  } else {
-    err << "error: unknown command '" << parsed->command << "'\n" << kUsage;
-    return 2;
-  }
+  Status status = command->run(*parsed, out);
   if (status.ok()) {
     status = WriteObservabilityOutputs(*parsed, err);
   }

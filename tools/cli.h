@@ -24,6 +24,8 @@
 // Global flags: --fault-site=SITE / --fault-rate=P arm the fault-injection
 // registry (common/fault.h) before the command runs; the probabilistic
 // mode derives every decision from --seed, so failures reproduce exactly.
+// Any other flag a command does not take is a usage error (exit 2),
+// reported before the command loads data or listens.
 //
 // Criterion names: minmax, mbr, gp, trigonometric, hyperbola, oracle.
 
