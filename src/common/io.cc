@@ -100,11 +100,14 @@ Status WriteStringToFile(const std::string& path, std::string_view body) {
   return Status::OK();
 }
 
-Status RenameFile(const std::string& from, const std::string& to) {
-  if (std::rename(from.c_str(), to.c_str()) != 0) {
-    return ErrnoToStatus(errno, "rename", from + "' -> '" + to);
+Status ReplaceFileAtomically(const std::string& path, std::string_view body) {
+  const std::string tmp = path + ".tmp";
+  Status status = WriteStringToFile(tmp, body);
+  if (status.ok() && std::rename(tmp.c_str(), path.c_str()) != 0) {
+    status = ErrnoToStatus(errno, "rename", tmp + "' -> '" + path);
   }
-  return Status::OK();
+  if (!status.ok()) (void)RemoveFile(tmp);  // best effort; report the cause
+  return status;
 }
 
 Status RemoveFile(const std::string& path) {

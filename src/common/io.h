@@ -28,12 +28,16 @@ Result<std::string> ReadFileToString(const std::string& path);
 
 /// Creates/truncates `path` and writes `body` in full. Retries EINTR and
 /// partial writes; errno-mapped Status on failure (the partially written
-/// file is left behind for the caller — snapshot saves write to a `.tmp`
-/// path and rename into place, so a torn write never replaces good data).
+/// file is left behind for the caller; use ReplaceFileAtomically where a
+/// torn write must never replace good data).
 Status WriteStringToFile(const std::string& path, std::string_view body);
 
-/// rename(2) with errno mapping, for atomic replace-on-success patterns.
-Status RenameFile(const std::string& from, const std::string& to);
+/// Replaces `path` with `body`: writes `<path>.tmp`, renames it over
+/// `path`, and removes the tmp on any failure. A process crash leaves
+/// either the old file or the new one, never a torn one. There is no
+/// fsync, so an OS crash or power loss can still lose the update. Every
+/// snapshot file and manifest is written through here.
+Status ReplaceFileAtomically(const std::string& path, std::string_view body);
 
 /// unlink(2); ENOENT is not an error (the file is gone either way).
 Status RemoveFile(const std::string& path);

@@ -17,16 +17,6 @@ int64_t NowNs() {
       .count();
 }
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-std::string VerdictCounterName(std::string_view criterion,
-                               std::string_view verdict) {
-  std::string name(obs::kCriterionVerdicts.name);
-  name.append("{criterion=\"").append(criterion);
-  name.append("\",verdict=\"").append(verdict).append("\"}");
-  return name;
-}
-#endif
-
 }  // namespace
 
 struct InstrumentedCriterion::Instruments {
@@ -48,11 +38,12 @@ InstrumentedCriterion::InstrumentedCriterion(
   auto& registry = obs::MetricsRegistry::Instance();
   const std::string_view n = inner_->name();
   instruments_->dominates = registry.GetCounter(
-      VerdictCounterName(n, "dominates"), obs::kCriterionVerdicts.help);
+      obs::kCriterionVerdicts, {{"criterion", n}, {"verdict", "dominates"}});
   instruments_->not_dominates = registry.GetCounter(
-      VerdictCounterName(n, "not_dominates"), obs::kCriterionVerdicts.help);
+      obs::kCriterionVerdicts,
+      {{"criterion", n}, {"verdict", "not_dominates"}});
   instruments_->uncertain = registry.GetCounter(
-      VerdictCounterName(n, "uncertain"), obs::kCriterionVerdicts.help);
+      obs::kCriterionVerdicts, {{"criterion", n}, {"verdict", "uncertain"}});
   instruments_->latency =
       registry.GetHistogram(obs::kCriterionDecideDuration, "criterion", n);
 #endif

@@ -27,11 +27,9 @@ namespace {
   const char* result = status.ok() ? "ok"
                        : status.code() == StatusCode::kConflict ? "conflict"
                                                                 : "error";
-  auto& reg = obs::MetricsRegistry::Instance();
-  std::string name(obs::kStoreMutations.name);
-  name.append("{op=\"").append(op);
-  name.append("\",result=\"").append(result).append("\"}");
-  reg.GetCounter(std::move(name), obs::kStoreMutations.help)->Add(1);
+  obs::MetricsRegistry::Instance()
+      .GetCounter(obs::kStoreMutations, {{"op", op}, {"result", result}})
+      ->Add(1);
 #endif
 }
 

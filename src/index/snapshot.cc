@@ -10,6 +10,7 @@
 #include "common/crc32.h"
 #include "common/fault.h"
 #include "common/io.h"
+#include "common/pod_stream.h"
 #include "index/ss_tree.h"
 #include "index/vp_tree.h"
 #include "obs/metrics.h"
@@ -19,78 +20,47 @@ namespace hyperdom {
 
 namespace {
 
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-int64_t SnapshotNowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-#endif
-
-// Publishes one snapshot operation: counts it under op=save|load and
-// result=ok|error, and records the latency. Snapshot ops are rare, so the
+// Runs one snapshot operation and publishes it: counted under op=save|load
+// and result=ok|error, with its latency. Snapshot ops are rare, so the
 // per-call registry lookup is fine.
-[[maybe_unused]] void RecordSnapshotOp([[maybe_unused]] const char* op,
-                      [[maybe_unused]] bool ok,
-                      [[maybe_unused]] uint64_t elapsed_ns) {
+template <typename Run>
+Status RecordSnapshotOp([[maybe_unused]] const char* op, Run run) {
 #if defined(HYPERDOM_OBSERVABILITY_ENABLED)
+  const auto start = std::chrono::steady_clock::now();
+  Status status = run();
+  const auto elapsed_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+      std::chrono::steady_clock::now() - start);
   auto& reg = obs::MetricsRegistry::Instance();
-  std::string name(obs::kSnapshotOps.name);
-  name.append("{op=\"").append(op);
-  name.append("\",result=\"").append(ok ? "ok" : "error").append("\"}");
-  reg.GetCounter(std::move(name), obs::kSnapshotOps.help)->Add(1);
-  reg.GetHistogram(obs::kSnapshotDuration, "op", op)->Record(elapsed_ns);
+  reg.GetCounter(obs::kSnapshotOps,
+                 {{"op", op}, {"result", status.ok() ? "ok" : "error"}})
+      ->Add(1);
+  reg.GetHistogram(obs::kSnapshotDuration, "op", op)
+      ->Record(static_cast<uint64_t>(elapsed_ns.count()));
+  return status;
+#else
+  return run();
 #endif
 }
 
 constexpr char kSnapMagic[4] = {'H', 'D', 'S', 'P'};
-// v1 wrapped AoS tree payloads (inline per-entry spheres); v2 wraps
-// store-backed payloads (HDSS v3 / HDVP v2). Both are readable: the inner
-// tree deserializers are version-gated and migrate v1-era payloads into a
-// SphereStore on load.
+// v2 wraps store-backed payloads (HDSS v3 / HDVP v2); it is the only
+// version read or written.
 constexpr uint32_t kSnapVersion = 2;
-constexpr uint32_t kSnapLegacyVersion = 1;
 
-template <typename T>
-void AppendPod(std::string* out, const T& value) {
-  out->append(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ConsumePod(std::string_view* in, T* value) {
-  if (in->size() < sizeof(T)) return false;
-  std::memcpy(value, in->data(), sizeof(T));
-  in->remove_prefix(sizeof(T));
-  return true;
-}
-
-// Assembles envelope + payload in memory, writes it to `<path>.tmp` via the
-// hardened EINTR/partial-write loop in common/io, then renames into place,
-// so an interrupted save never replaces a good snapshot with a torn one.
+// Assembles envelope + payload in memory and replaces `path` with it
+// atomically (common/io), so an interrupted save never replaces a good
+// snapshot with a torn one.
 Status WriteEnvelope(const std::string& path, SnapshotKind kind,
                      const std::string& payload) {
   HYPERDOM_FAULT_POINT("snapshot/write");
-  std::string body;
-  body.reserve(sizeof(kSnapMagic) + 3 * sizeof(uint32_t) + sizeof(uint64_t) +
-               payload.size());
-  body.append(kSnapMagic, sizeof(kSnapMagic));
-  AppendPod(&body, kSnapVersion);
-  AppendPod(&body, static_cast<uint32_t>(kind));
-  AppendPod(&body, static_cast<uint64_t>(payload.size()));
-  AppendPod(&body, Crc32Of(payload.data(), payload.size()));
-  body += payload;
-  const std::string tmp = path + ".tmp";
-  Status written = WriteStringToFile(tmp, body);
-  if (!written.ok()) {
-    (void)RemoveFile(tmp);  // best-effort cleanup; report the write error
-    return written;
-  }
-  Status renamed = RenameFile(tmp, path);
-  if (!renamed.ok()) {
-    (void)RemoveFile(tmp);
-    return renamed;
-  }
-  return Status::OK();
+  std::ostringstream body(std::ios::binary);
+  body.write(kSnapMagic, sizeof(kSnapMagic));
+  WritePod(body, kSnapVersion);
+  WritePod(body, static_cast<uint32_t>(kind));
+  WritePod(body, static_cast<uint64_t>(payload.size()));
+  WritePod(body, Crc32Of(payload.data(), payload.size()));
+  body.write(payload.data(), static_cast<std::streamsize>(payload.size()));
+  return ReplaceFileAtomically(path, body.str());
 }
 
 // Reads and validates the envelope; fills `*info` and, when the header is
@@ -103,23 +73,23 @@ Status ReadEnvelope(const std::string& path, SnapshotInfo* info,
   HYPERDOM_FAULT_POINT("snapshot/read");
   Result<std::string> file = ReadFileToString(path);
   if (!file.ok()) return file.status();
-  std::string_view in(*file);
+  std::istringstream in(file.TakeValue(), std::ios::binary);
   char magic[4];
-  if (!ConsumePod(&in, &magic) ||
+  if (!ReadPod(in, &magic) ||
       std::memcmp(magic, kSnapMagic, sizeof(kSnapMagic)) != 0) {
     return Status::Corruption("bad magic: not a hyperdom snapshot");
   }
   uint32_t version = 0;
-  if (!ConsumePod(&in, &version)) return Status::Corruption("truncated header");
-  if (version != kSnapVersion && version != kSnapLegacyVersion) {
+  if (!ReadPod(in, &version)) return Status::Corruption("truncated header");
+  if (version != kSnapVersion) {
     return Status::NotSupported("unsupported snapshot version " +
                                 std::to_string(version));
   }
   uint32_t kind = 0;
   uint64_t payload_size = 0;
   uint32_t crc = 0;
-  if (!ConsumePod(&in, &kind) || !ConsumePod(&in, &payload_size) ||
-      !ConsumePod(&in, &crc)) {
+  if (!ReadPod(in, &kind) || !ReadPod(in, &payload_size) ||
+      !ReadPod(in, &crc)) {
     return Status::Corruption("truncated header");
   }
   if (kind != static_cast<uint32_t>(SnapshotKind::kSsTree) &&
@@ -130,12 +100,13 @@ Status ReadEnvelope(const std::string& path, SnapshotInfo* info,
   info->kind = static_cast<SnapshotKind>(kind);
   info->version = version;
   info->payload_size = payload_size;
-  if (in.size() != payload_size) {
+  if (BytesLeft(in) != payload_size) {
     return Status::Corruption("payload size mismatch: header says " +
                               std::to_string(payload_size) + " bytes");
   }
-  info->crc_ok = Crc32Of(in.data(), in.size()) == crc;
-  payload->assign(in.data(), in.size());
+  payload->resize(payload_size);
+  in.read(payload->data(), static_cast<std::streamsize>(payload_size));
+  info->crc_ok = Crc32Of(payload->data(), payload->size()) == crc;
   return Status::OK();
 }
 
@@ -145,30 +116,21 @@ Status LoadSnapshotImpl(const std::string& path, SnapshotKind expected,
                         Tree* out) {
   HYPERDOM_SPAN(span, "snapshot/load");
   HYPERDOM_SPAN_ANNOTATE(span, "path", path);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  const int64_t start_ns = SnapshotNowNs();
-#endif
-  auto finish = [&](Status status) {
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-    RecordSnapshotOp("load", status.ok(),
-                     static_cast<uint64_t>(SnapshotNowNs() - start_ns));
-#endif
-    return status;
-  };
-  SnapshotInfo info;
-  std::string payload;
-  Status read = ReadEnvelope(path, &info, &payload);
-  if (!read.ok()) return finish(std::move(read));
-  if (info.kind != expected) {
-    return finish(Status::InvalidArgument(
-        "snapshot holds a " + std::string(SnapshotKindName(info.kind)) +
-        ", expected a " + std::string(SnapshotKindName(expected))));
-  }
-  if (!info.crc_ok) {
-    return finish(Status::Corruption("snapshot checksum mismatch: " + path));
-  }
-  std::istringstream in(std::move(payload), std::ios::binary);
-  return finish(Tree::Deserialize(in, out));
+  return RecordSnapshotOp("load", [&] {
+    SnapshotInfo info;
+    std::string payload;
+    HYPERDOM_RETURN_NOT_OK(ReadEnvelope(path, &info, &payload));
+    if (info.kind != expected) {
+      return Status::InvalidArgument(
+          "snapshot holds a " + std::string(SnapshotKindName(info.kind)) +
+          ", expected a " + std::string(SnapshotKindName(expected)));
+    }
+    if (!info.crc_ok) {
+      return Status::Corruption("snapshot checksum mismatch: " + path);
+    }
+    std::istringstream in(std::move(payload), std::ios::binary);
+    return Tree::Deserialize(in, out);
+  });
 }
 
 template <typename Tree>
@@ -176,17 +138,34 @@ Status SaveSnapshotImpl(const Tree& tree, SnapshotKind kind,
                         const std::string& path) {
   HYPERDOM_SPAN(span, "snapshot/save");
   HYPERDOM_SPAN_ANNOTATE(span, "path", path);
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  const int64_t start_ns = SnapshotNowNs();
-#endif
-  std::ostringstream payload(std::ios::binary);
-  Status status = tree.Serialize(payload);
-  if (status.ok()) status = WriteEnvelope(path, kind, payload.str());
-#if defined(HYPERDOM_OBSERVABILITY_ENABLED)
-  RecordSnapshotOp("save", status.ok(),
-                   static_cast<uint64_t>(SnapshotNowNs() - start_ns));
-#endif
-  return status;
+  return RecordSnapshotOp("save", [&] {
+    std::ostringstream payload(std::ios::binary);
+    HYPERDOM_RETURN_NOT_OK(tree.Serialize(payload));
+    return WriteEnvelope(path, kind, payload.str());
+  });
+}
+
+// Shared LoadSnapshotOrRebuild body: `rebuild` fills the empty `rebuilt`
+// tree from the raw data, and only a successful rebuild replaces `*out`.
+template <typename Tree, typename Rebuild>
+Status LoadOrRebuildImpl(const std::string& path, Tree* out, Tree rebuilt,
+                         Rebuild rebuild, SnapshotLoadOutcome* outcome,
+                         Status* load_error) {
+  HYPERDOM_SPAN(span, "snapshot/load_or_rebuild");
+  const Status loaded = LoadSnapshot(path, out);
+  if (load_error != nullptr) *load_error = loaded;
+  if (loaded.ok()) {
+    *outcome = SnapshotLoadOutcome::kLoaded;
+    return Status::OK();
+  }
+  // Falling back to an O(n log n) rebuild: count it (an operator alert —
+  // the snapshot on disk is missing or corrupt) and record why.
+  HYPERDOM_COUNTER_INC(obs::kSnapshotRebuildFallback);
+  HYPERDOM_SPAN_ANNOTATE(span, "rebuild_fallback", loaded.message());
+  HYPERDOM_RETURN_NOT_OK(rebuild(&rebuilt));
+  *out = std::move(rebuilt);
+  *outcome = SnapshotLoadOutcome::kRebuilt;
+  return Status::OK();
 }
 
 }  // namespace
@@ -228,43 +207,22 @@ Status LoadSnapshotOrRebuild(const std::string& path,
                              const std::vector<Hypersphere>& data,
                              SsTree* out, SnapshotLoadOutcome* outcome,
                              Status* load_error) {
-  HYPERDOM_SPAN(span, "snapshot/load_or_rebuild");
-  const Status loaded = LoadSnapshot(path, out);
-  if (load_error != nullptr) *load_error = loaded;
-  if (loaded.ok()) {
-    *outcome = SnapshotLoadOutcome::kLoaded;
-    return Status::OK();
-  }
-  // Falling back to an O(n log n) rebuild: count it (an operator alert —
-  // the snapshot on disk is missing or corrupt) and record why.
-  HYPERDOM_COUNTER_INC(obs::kSnapshotRebuildFallback);
-  HYPERDOM_SPAN_ANNOTATE(span, "rebuild_fallback", loaded.message());
-  SsTree rebuilt(data.empty() ? out->dim() : data.front().dim(),
-                 out->options());
-  HYPERDOM_RETURN_NOT_OK(rebuilt.BulkLoadStr(data));
-  *out = std::move(rebuilt);
-  *outcome = SnapshotLoadOutcome::kRebuilt;
-  return Status::OK();
+  SsTree empty(data.empty() ? out->dim() : data.front().dim(),
+               out->options());
+  return LoadOrRebuildImpl(
+      path, out, std::move(empty),
+      [&data](SsTree* tree) { return tree->BulkLoadStr(data); }, outcome,
+      load_error);
 }
 
 Status LoadSnapshotOrRebuild(const std::string& path,
                              const std::vector<Hypersphere>& data,
                              VpTree* out, SnapshotLoadOutcome* outcome,
                              Status* load_error) {
-  HYPERDOM_SPAN(span, "snapshot/load_or_rebuild");
-  const Status loaded = LoadSnapshot(path, out);
-  if (load_error != nullptr) *load_error = loaded;
-  if (loaded.ok()) {
-    *outcome = SnapshotLoadOutcome::kLoaded;
-    return Status::OK();
-  }
-  HYPERDOM_COUNTER_INC(obs::kSnapshotRebuildFallback);
-  HYPERDOM_SPAN_ANNOTATE(span, "rebuild_fallback", loaded.message());
-  VpTree rebuilt(out->options());
-  HYPERDOM_RETURN_NOT_OK(rebuilt.Build(data));
-  *out = std::move(rebuilt);
-  *outcome = SnapshotLoadOutcome::kRebuilt;
-  return Status::OK();
+  return LoadOrRebuildImpl(
+      path, out, VpTree(out->options()),
+      [&data](VpTree* tree) { return tree->Build(data); }, outcome,
+      load_error);
 }
 
 }  // namespace hyperdom

@@ -9,13 +9,15 @@
 //
 // — so that a restart can detect truncation and bit rot before trusting
 // the tree structure, and fall back to an O(n log n) rebuild from the raw
-// data instead of serving queries off a corrupt index. Saves are atomic at
-// the filesystem level: the envelope is written to `<path>.tmp` and
-// renamed into place, so a crash mid-write leaves either the previous
-// snapshot or none, never a half-written one.
+// data instead of serving queries off a corrupt index. Saves go through
+// ReplaceFileAtomically (common/io.h): a process crash mid-write leaves
+// the previous snapshot or none, never a half-written one. Nothing is
+// fsynced yet, so an OS crash or power loss can still lose a save.
 //
 // Like the underlying tree formats, the envelope is host-endian — a
-// same-machine cache, not an interchange format.
+// same-machine cache, not an interchange format. Only the current
+// versions (HDSP v2 around HDSS v3 / HDVP v2) load; any other version is
+// kNotSupported, naming the version.
 
 #ifndef HYPERDOM_INDEX_SNAPSHOT_H_
 #define HYPERDOM_INDEX_SNAPSHOT_H_

@@ -6,11 +6,12 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <istream>
 #include <numeric>
-#include <sstream>
+#include <ostream>
 
 #include "common/fault.h"
-#include "common/io.h"
+#include "common/pod_stream.h"
 #include "common/str_util.h"
 #include "geometry/min_ball.h"
 #include "index/index_metrics.h"
@@ -753,14 +754,12 @@ Status CheckNode(const SsTreeNode* node, const SphereStore& store,
 //   magic "HDSS" + u32 version
 //   u64 dim, u64 size, u64 max_entries, f64 min_fill_ratio, u32 split_policy,
 //   u32 bounding_policy
-//   v3 (current): the SphereStore blob (storage/sphere_store.cc), then
-//     recursive node records:
-//       u8 is_leaf
-//       leaf:     u64 entry_count, then per entry: u32 slot, u64 id
-//       internal: u64 child_count, then the child records
-//   v2 (legacy, load-only): recursive node records with inline entries
-//     (per entry: f64 center[dim], f64 radius, u64 id); migrated into a
-//     fresh SphereStore on load.
+//   the SphereStore blob (storage/sphere_store.cc), then recursive node
+//   records:
+//     u8 is_leaf
+//     leaf:     u64 entry_count, then per entry: u32 slot, u64 id
+//     internal: u64 child_count, then the child records
+// Version 3 is the only one read; older versions get kNotSupported.
 // Centroids and bounding spheres are recomputed on load. Abandoned store
 // slots (from Delete) are serialized too: slots must stay stable.
 // ---------------------------------------------------------------------------
@@ -769,18 +768,10 @@ namespace {
 
 constexpr char kMagic[4] = {'H', 'D', 'S', 'S'};
 constexpr uint32_t kFormatVersion = 3;
-constexpr uint32_t kLegacyFormatVersion = 2;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
+/// Bytes of one serialized leaf entry (u32 slot, u64 id) and the least a
+/// child node record can take (u8 tag, u64 count).
+constexpr uint64_t kEntryBytes = sizeof(uint32_t) + sizeof(uint64_t);
+constexpr uint64_t kMinNodeBytes = sizeof(uint8_t) + sizeof(uint64_t);
 
 void SaveNode(std::ostream& out, const SsTreeNode* node) {
   const uint8_t is_leaf = node->is_leaf() ? 1 : 0;
@@ -818,20 +809,12 @@ Status SsTree::Serialize(std::ostream& out) const {
   return Status::OK();
 }
 
-Status SsTree::Save(const std::string& path) const {
-  // Serialize to memory, then write through the hardened EINTR/partial-
-  // write loop in common/io so failures carry errno-mapped messages.
-  std::ostringstream out(std::ios::binary);
-  HYPERDOM_RETURN_NOT_OK(Serialize(out));
-  return WriteStringToFile(path, out.str());
-}
-
-// Loads one legacy (v2) node record with inline entries, migrating each
-// sphere into `store`; derived per-node data (centroids, bounds) is
-// recomputed by the caller (SsTree::Deserialize).
-Status SsTree::LoadNodeV2(std::istream& in, size_t dim, size_t max_entries,
-                          size_t depth, SphereStore* store,
-                          std::unique_ptr<SsTreeNode>* out_node) {
+// Loads one node record of slot references against the already-loaded
+// store; derived per-node data (centroids, bounds) is recomputed by the
+// caller (SsTree::Deserialize).
+Status SsTree::LoadNode(std::istream& in, const SphereStore& store,
+                        size_t max_entries, size_t depth,
+                        std::unique_ptr<SsTreeNode>* out_node) {
   // Depth bound: a valid tree over 2^64 entries is far shallower than 64
   // levels at fanout >= 2; deeper means a corrupt or adversarial file.
   if (depth > 64) return Status::Corruption("node nesting too deep");
@@ -842,59 +825,8 @@ Status SsTree::LoadNodeV2(std::istream& in, size_t dim, size_t max_entries,
   auto node = std::make_unique<SsTreeNode>(is_leaf == 1);
   uint64_t count = 0;
   if (!ReadPod(in, &count)) return Status::Corruption("truncated node");
-  if (count == 0 || count > max_entries) {
-    return Status::Corruption("node occupancy out of range");
-  }
-  if (is_leaf == 1) {
-    node->entries_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      Point center(dim);
-      for (size_t d = 0; d < dim; ++d) {
-        if (!ReadPod(in, &center[d])) {
-          return Status::Corruption("truncated entry");
-        }
-        if (!std::isfinite(center[d])) {
-          return Status::Corruption("non-finite coordinate");
-        }
-      }
-      double radius = 0.0;
-      uint64_t id = 0;
-      if (!ReadPod(in, &radius) || !ReadPod(in, &id)) {
-        return Status::Corruption("truncated entry");
-      }
-      if (!std::isfinite(radius) || radius < 0.0) {
-        return Status::Corruption("bad radius");
-      }
-      const uint32_t slot = store->Add(center.data(), dim, radius);
-      node->entries_.push_back(SsTreeEntry{slot, id});
-    }
-  } else {
-    node->children_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      std::unique_ptr<SsTreeNode> child;
-      HYPERDOM_RETURN_NOT_OK(
-          LoadNodeV2(in, dim, max_entries, depth + 1, store, &child));
-      node->children_.push_back(std::move(child));
-    }
-  }
-  *out_node = std::move(node);
-  return Status::OK();
-}
-
-// Loads one v3 node record of slot references against the already-loaded
-// store.
-Status SsTree::LoadNodeV3(std::istream& in, const SphereStore& store,
-                          size_t max_entries, size_t depth,
-                          std::unique_ptr<SsTreeNode>* out_node) {
-  if (depth > 64) return Status::Corruption("node nesting too deep");
-  uint8_t is_leaf = 0;
-  if (!ReadPod(in, &is_leaf) || is_leaf > 1) {
-    return Status::Corruption("bad node tag");
-  }
-  auto node = std::make_unique<SsTreeNode>(is_leaf == 1);
-  uint64_t count = 0;
-  if (!ReadPod(in, &count)) return Status::Corruption("truncated node");
-  if (count == 0 || count > max_entries) {
+  if (count == 0 || count > max_entries ||
+      !CountFits(in, count, is_leaf == 1 ? kEntryBytes : kMinNodeBytes)) {
     return Status::Corruption("node occupancy out of range");
   }
   if (is_leaf == 1) {
@@ -915,19 +847,12 @@ Status SsTree::LoadNodeV3(std::istream& in, const SphereStore& store,
     for (uint64_t i = 0; i < count; ++i) {
       std::unique_ptr<SsTreeNode> child;
       HYPERDOM_RETURN_NOT_OK(
-          LoadNodeV3(in, store, max_entries, depth + 1, &child));
+          LoadNode(in, store, max_entries, depth + 1, &child));
       node->children_.push_back(std::move(child));
     }
   }
   *out_node = std::move(node);
   return Status::OK();
-}
-
-Status SsTree::Load(const std::string& path, SsTree* out) {
-  Result<std::string> file = ReadFileToString(path);
-  if (!file.ok()) return file.status();
-  std::istringstream in(file.TakeValue(), std::ios::binary);
-  return Deserialize(in, out);
 }
 
 Status SsTree::Deserialize(std::istream& in, SsTree* out) {
@@ -938,9 +863,10 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
     return Status::Corruption("bad magic: not an SS-tree file");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) ||
-      (version != kFormatVersion && version != kLegacyFormatVersion)) {
-    return Status::NotSupported("unsupported SS-tree format version");
+  if (!ReadPod(in, &version)) return Status::Corruption("truncated header");
+  if (version != kFormatVersion) {
+    return Status::NotSupported("unsupported SS-tree format version " +
+                                std::to_string(version));
   }
   uint64_t dim = 0, size = 0, max_entries = 0;
   double min_fill_ratio = 0.0;
@@ -961,48 +887,21 @@ Status SsTree::Deserialize(std::istream& in, SsTree* out) {
   options.split_policy = static_cast<SsTreeSplitPolicy>(split_policy);
   options.bounding_policy = static_cast<SsTreeBoundingPolicy>(bounding_policy);
   SsTree tree(dim, options);
-  if (version == kFormatVersion) {
-    SphereStore store;
-    HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
-    if (store.size() > 0 && store.dim() != dim) {
-      return Status::Corruption("store dimensionality mismatch");
-    }
-    *tree.store_ = std::move(store);
+  SphereStore store;
+  HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
+  if (store.size() > 0 && store.dim() != dim) {
+    return Status::Corruption("store dimensionality mismatch");
   }
+  *tree.store_ = std::move(store);
   if (size > 0) {
-    if (version == kFormatVersion) {
-      HYPERDOM_RETURN_NOT_OK(LoadNodeV3(in, *tree.store_, max_entries,
-                                        /*depth=*/0, &tree.root_));
-    } else {
-      HYPERDOM_RETURN_NOT_OK(LoadNodeV2(in, dim, max_entries, /*depth=*/0,
-                                        tree.store_.get(), &tree.root_));
-    }
+    HYPERDOM_RETURN_NOT_OK(
+        LoadNode(in, *tree.store_, max_entries, /*depth=*/0, &tree.root_));
     // Recompute derived per-node data bottom-up.
-    struct Rebuilder {
-      SsTree* tree;
-      size_t dim;
-      Status Run(SsTreeNode* node) {
-        node->center_sum_ = Point(dim, 0.0);
-        node->count_ = 0;
-        if (node->is_leaf_) {
-          for (const auto& e : node->entries_) {
-            AddInPlaceSpan(node->center_sum_.data(),
-                           tree->store_->center(e.slot), dim);
-          }
-          node->count_ = node->entries_.size();
-        } else {
-          for (auto& child : node->children_) {
-            HYPERDOM_RETURN_NOT_OK(Run(child.get()));
-            node->center_sum_ = Add(node->center_sum_, child->center_sum_);
-            node->count_ += child->count_;
-          }
-        }
-        tree->RefreshBoundingSphere(node);
-        return Status::OK();
-      }
+    const auto rebuild = [&tree](const auto& self, SsTreeNode* node) -> void {
+      for (auto& child : node->children_) self(self, child.get());
+      tree.RebuildNodeStats(node);
     };
-    Rebuilder rebuilder{&tree, dim};
-    HYPERDOM_RETURN_NOT_OK(rebuilder.Run(tree.root_.get()));
+    rebuild(rebuild, tree.root_.get());
     if (tree.root_->count_ != size) {
       return Status::Corruption("entry count does not match header");
     }

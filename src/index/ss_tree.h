@@ -21,7 +21,7 @@
 //   * Optional extras beyond White & Jain: SS+-style 2-means splits,
 //     Welzl min-ball node bounds, top-down tiled bulk loading (store rows
 //     in leaf order), deletion with underflow dissolution, and binary
-//     persistence.
+//     serialization.
 
 #ifndef HYPERDOM_INDEX_SS_TREE_H_
 #define HYPERDOM_INDEX_SS_TREE_H_
@@ -169,24 +169,17 @@ class SsTree {
   /// subtree counts are consistent. Returns the first violation found.
   Status CheckInvariants() const;
 
-  /// \brief Persists the tree to `path` in the compact binary format
-  /// described in ss_tree.cc (host endianness; intended for same-machine
-  /// caching of expensive builds, not as an interchange format).
-  Status Save(const std::string& path) const;
-
-  /// \brief Loads a tree previously written by Save() into `*out`
-  /// (replacing its contents). Derived per-node data (centroids, bounding
-  /// spheres) is recomputed, so a successful load always satisfies
-  /// CheckInvariants(). Reads both the current columnar format (v3) and
-  /// the legacy inline-entry format (v2), migrating the latter into a
-  /// fresh SphereStore.
-  static Status Load(const std::string& path, SsTree* out);
-
-  /// Stream-level Save(): writes the binary format to `out`. Used by the
-  /// checksummed snapshot envelope (index/snapshot.h).
+  /// \brief Writes the tree to `out` in the compact binary format
+  /// described in ss_tree.cc (host endianness; a same-machine cache of
+  /// expensive builds, not an interchange format). Files go through the
+  /// checksummed snapshot envelope (index/snapshot.h: SaveSnapshot).
   Status Serialize(std::ostream& out) const;
 
-  /// Stream-level Load(): same validation and derived-data rebuild.
+  /// \brief Reads a tree written by Serialize() from a seekable stream
+  /// into `*out` (replacing its contents only on success). Derived
+  /// per-node data (centroids, bounding spheres) is recomputed, so a
+  /// successful load always satisfies CheckInvariants(). Only the current
+  /// format version loads; any other is kNotSupported.
   static Status Deserialize(std::istream& in, SsTree* out);
 
  private:
@@ -206,15 +199,10 @@ class SsTree {
   /// Item partition for the split, by the configured policy: returns, for
   /// each item key, whether it goes to the new sibling.
   std::vector<bool> ChoosePartition(const std::vector<Point>& keys) const;
-  /// Reads one legacy (v2) inline-entry node record, migrating its spheres
-  /// into `store`.
-  static Status LoadNodeV2(std::istream& in, size_t dim, size_t max_entries,
-                           size_t depth, SphereStore* store,
-                           std::unique_ptr<SsTreeNode>* out_node);
-  /// Reads one v3 slot-reference node record against a loaded store.
-  static Status LoadNodeV3(std::istream& in, const SphereStore& store,
-                           size_t max_entries, size_t depth,
-                           std::unique_ptr<SsTreeNode>* out_node);
+  /// Reads one slot-reference node record against a loaded store.
+  static Status LoadNode(std::istream& in, const SphereStore& store,
+                         size_t max_entries, size_t depth,
+                         std::unique_ptr<SsTreeNode>* out_node);
   /// The top-down tiler behind BulkLoadStrWithIds (ss_tree.cc).
   class TopDownPacker;
   /// Recomputes a node's centroid bookkeeping and bounding sphere from its

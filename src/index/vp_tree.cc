@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "common/fault.h"
+#include "common/pod_stream.h"
 #include "index/index_metrics.h"
 
 namespace hyperdom {
@@ -211,41 +212,29 @@ Status VpTree::CheckInvariants() const {
 // endianness, a same-machine cache format, derived data recomputed on load.
 //   magic "HDVP" + u32 version
 //   u64 dim, u64 size, u64 leaf_size
-//   v2 (current): the SphereStore blob (storage/sphere_store.cc), then
-//     recursive node records (present iff size > 0):
-//       u8 is_leaf
-//       leaf:     u64 bucket_count, then per entry: u32 slot, u64 id
-//       internal: the vantage entry (u32 slot, u64 id), then per side
-//                 (inside, outside): u8 present, and when present f64 lo,
-//                 f64 hi, child record
-//   v1 (legacy, load-only): node records with inline entries (f64
-//     center[dim], f64 radius, u64 id); migrated into a fresh SphereStore
-//     on load.
+//   the SphereStore blob (storage/sphere_store.cc), then recursive node
+//   records (present iff size > 0):
+//     u8 is_leaf
+//     leaf:     u64 bucket_count, then per entry: u32 slot, u64 id
+//     internal: the vantage entry (u32 slot, u64 id), then per side
+//               (inside, outside): u8 present, and when present f64 lo,
+//               f64 hi, child record
+// Version 2 is the only one read; older versions get kNotSupported.
 // ---------------------------------------------------------------------------
 
 namespace {
 
 constexpr char kVpMagic[4] = {'H', 'D', 'V', 'P'};
 constexpr uint32_t kVpFormatVersion = 2;
-constexpr uint32_t kVpLegacyFormatVersion = 1;
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
-}
+/// Bytes of one serialized entry: u32 slot, u64 id.
+constexpr uint64_t kVpEntryBytes = sizeof(uint32_t) + sizeof(uint64_t);
 
 void SaveEntry(std::ostream& out, const VpTreeEntry& e) {
   WritePod(out, e.slot);
   WritePod(out, e.id);
 }
 
-Status ReadEntryV2(std::istream& in, const SphereStore& store,
+Status ReadEntry(std::istream& in, const SphereStore& store,
                    VpTreeEntry* out) {
   uint32_t slot = 0;
   uint64_t id = 0;
@@ -255,29 +244,6 @@ Status ReadEntryV2(std::istream& in, const SphereStore& store,
   if (slot >= store.size()) {
     return Status::Corruption("entry slot out of store range");
   }
-  *out = VpTreeEntry{slot, id};
-  return Status::OK();
-}
-
-// Reads one legacy inline entry, migrating the sphere into `store`.
-Status ReadEntryV1(std::istream& in, size_t dim, SphereStore* store,
-                   VpTreeEntry* out) {
-  Point center(dim);
-  for (size_t d = 0; d < dim; ++d) {
-    if (!ReadPod(in, &center[d])) return Status::Corruption("truncated entry");
-    if (!std::isfinite(center[d])) {
-      return Status::Corruption("non-finite coordinate");
-    }
-  }
-  double radius = 0.0;
-  uint64_t id = 0;
-  if (!ReadPod(in, &radius) || !ReadPod(in, &id)) {
-    return Status::Corruption("truncated entry");
-  }
-  if (!std::isfinite(radius) || radius < 0.0) {
-    return Status::Corruption("bad radius");
-  }
-  const uint32_t slot = store->Add(center.data(), dim, radius);
   *out = VpTreeEntry{slot, id};
   return Status::OK();
 }
@@ -326,9 +292,9 @@ Status VpTree::Serialize(std::ostream& out) const {
   return Status::OK();
 }
 
-Status VpTree::LoadNodeV1(std::istream& in, size_t dim, size_t leaf_size,
-                          size_t depth, SphereStore* store,
-                          std::unique_ptr<VpTreeNode>* out_node) {
+Status VpTree::LoadNode(std::istream& in, const SphereStore& store,
+                        size_t leaf_size, size_t depth,
+                        std::unique_ptr<VpTreeNode>* out_node) {
   // A valid build halves the item count per level, so any honest tree is
   // far shallower than 128 levels; deeper means a corrupt file.
   if (depth > 128) return Status::Corruption("node nesting too deep");
@@ -341,79 +307,14 @@ Status VpTree::LoadNodeV1(std::istream& in, size_t dim, size_t leaf_size,
     node->is_leaf_ = true;
     uint64_t count = 0;
     if (!ReadPod(in, &count)) return Status::Corruption("truncated node");
-    if (count == 0 || count > leaf_size) {
+    if (count == 0 || count > leaf_size ||
+        !CountFits(in, count, kVpEntryBytes)) {
       return Status::Corruption("bucket size out of range");
     }
     node->bucket_.reserve(count);
     for (uint64_t i = 0; i < count; ++i) {
       VpTreeEntry e;
-      HYPERDOM_RETURN_NOT_OK(ReadEntryV1(in, dim, store, &e));
-      node->max_radius_ = std::max(node->max_radius_, store->radius(e.slot));
-      node->bucket_.push_back(e);
-    }
-    node->subtree_size_ = node->bucket_.size();
-    *out_node = std::move(node);
-    return Status::OK();
-  }
-
-  HYPERDOM_RETURN_NOT_OK(ReadEntryV1(in, dim, store, &node->vantage_));
-  node->max_radius_ = store->radius(node->vantage_.slot);
-  node->subtree_size_ = 1;
-  struct Side {
-    std::unique_ptr<VpTreeNode>* child;
-    double* lo;
-    double* hi;
-  };
-  const Side sides[2] = {
-      {&node->inside_, &node->inside_lo_, &node->inside_hi_},
-      {&node->outside_, &node->outside_lo_, &node->outside_hi_},
-  };
-  for (const Side& side : sides) {
-    uint8_t present = 0;
-    if (!ReadPod(in, &present) || present > 1) {
-      return Status::Corruption("bad side tag");
-    }
-    if (present == 0) continue;
-    if (!ReadPod(in, side.lo) || !ReadPod(in, side.hi)) {
-      return Status::Corruption("truncated band");
-    }
-    if (!std::isfinite(*side.lo) || !std::isfinite(*side.hi) ||
-        *side.lo < 0.0 || *side.hi < *side.lo) {
-      return Status::Corruption("bad distance band");
-    }
-    HYPERDOM_RETURN_NOT_OK(
-        LoadNodeV1(in, dim, leaf_size, depth + 1, store, side.child));
-    node->max_radius_ =
-        std::max(node->max_radius_, (*side.child)->max_radius_);
-    node->subtree_size_ += (*side.child)->subtree_size_;
-  }
-  if (node->inside_ == nullptr && node->outside_ == nullptr) {
-    return Status::Corruption("internal node without children");
-  }
-  *out_node = std::move(node);
-  return Status::OK();
-}
-
-Status VpTree::LoadNodeV2(std::istream& in, const SphereStore& store,
-                          size_t leaf_size, size_t depth,
-                          std::unique_ptr<VpTreeNode>* out_node) {
-  if (depth > 128) return Status::Corruption("node nesting too deep");
-  uint8_t is_leaf = 0;
-  if (!ReadPod(in, &is_leaf) || is_leaf > 1) {
-    return Status::Corruption("bad node tag");
-  }
-  auto node = std::make_unique<VpTreeNode>();
-  if (is_leaf == 1) {
-    node->is_leaf_ = true;
-    uint64_t count = 0;
-    if (!ReadPod(in, &count)) return Status::Corruption("truncated node");
-    if (count == 0 || count > leaf_size) {
-      return Status::Corruption("bucket size out of range");
-    }
-    node->bucket_.reserve(count);
-    for (uint64_t i = 0; i < count; ++i) {
-      VpTreeEntry e;
-      HYPERDOM_RETURN_NOT_OK(ReadEntryV2(in, store, &e));
+      HYPERDOM_RETURN_NOT_OK(ReadEntry(in, store, &e));
       node->max_radius_ = std::max(node->max_radius_, store.radius(e.slot));
       node->bucket_.push_back(e);
     }
@@ -422,7 +323,7 @@ Status VpTree::LoadNodeV2(std::istream& in, const SphereStore& store,
     return Status::OK();
   }
 
-  HYPERDOM_RETURN_NOT_OK(ReadEntryV2(in, store, &node->vantage_));
+  HYPERDOM_RETURN_NOT_OK(ReadEntry(in, store, &node->vantage_));
   node->max_radius_ = store.radius(node->vantage_.slot);
   node->subtree_size_ = 1;
   struct Side {
@@ -448,7 +349,7 @@ Status VpTree::LoadNodeV2(std::istream& in, const SphereStore& store,
       return Status::Corruption("bad distance band");
     }
     HYPERDOM_RETURN_NOT_OK(
-        LoadNodeV2(in, store, leaf_size, depth + 1, side.child));
+        LoadNode(in, store, leaf_size, depth + 1, side.child));
     node->max_radius_ =
         std::max(node->max_radius_, (*side.child)->max_radius_);
     node->subtree_size_ += (*side.child)->subtree_size_;
@@ -468,9 +369,10 @@ Status VpTree::Deserialize(std::istream& in, VpTree* out) {
     return Status::Corruption("bad magic: not a VP-tree stream");
   }
   uint32_t version = 0;
-  if (!ReadPod(in, &version) ||
-      (version != kVpFormatVersion && version != kVpLegacyFormatVersion)) {
-    return Status::NotSupported("unsupported VP-tree format version");
+  if (!ReadPod(in, &version)) return Status::Corruption("truncated header");
+  if (version != kVpFormatVersion) {
+    return Status::NotSupported("unsupported VP-tree format version " +
+                                std::to_string(version));
   }
   uint64_t dim = 0, size = 0, leaf_size = 0;
   if (!ReadPod(in, &dim) || !ReadPod(in, &size) || !ReadPod(in, &leaf_size)) {
@@ -483,24 +385,15 @@ Status VpTree::Deserialize(std::istream& in, VpTree* out) {
   VpTreeOptions options;
   options.leaf_size = leaf_size;
   VpTree tree(options);
-  if (version == kVpFormatVersion) {
-    SphereStore store;
-    HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
-    if (store.size() > 0 && store.dim() != dim) {
-      return Status::Corruption("store dimensionality mismatch");
-    }
-    *tree.store_ = std::move(store);
-  } else if (size > 0) {
-    *tree.store_ = SphereStore(dim);
+  SphereStore store;
+  HYPERDOM_RETURN_NOT_OK(SphereStore::DeserializeFrom(in, &store));
+  if (store.size() > 0 && store.dim() != dim) {
+    return Status::Corruption("store dimensionality mismatch");
   }
+  *tree.store_ = std::move(store);
   if (size > 0) {
-    if (version == kVpFormatVersion) {
-      HYPERDOM_RETURN_NOT_OK(
-          LoadNodeV2(in, *tree.store_, leaf_size, /*depth=*/0, &tree.root_));
-    } else {
-      HYPERDOM_RETURN_NOT_OK(LoadNodeV1(in, dim, leaf_size, /*depth=*/0,
-                                        tree.store_.get(), &tree.root_));
-    }
+    HYPERDOM_RETURN_NOT_OK(
+        LoadNode(in, *tree.store_, leaf_size, /*depth=*/0, &tree.root_));
     if (tree.root_->subtree_size_ != size) {
       return Status::Corruption("entry count does not match header");
     }

@@ -5,7 +5,6 @@
 #include <sstream>
 #include <utility>
 
-#include "common/fault.h"
 #include "common/io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -17,59 +16,28 @@ namespace {
 
 constexpr char kManifestName[] = "SHARDS";
 constexpr char kManifestMagic[] = "hyperdom-shards-v1";
-/// Generations kept behind the newest, matching index/rotation.cc.
-constexpr uint64_t kKeepGenerations = 2;
+constexpr std::string_view kStemPrefix = "shard-";
 
-bool ParseU64(const std::string& token, uint64_t* out) {
-  if (token.empty()) return false;
-  uint64_t value = 0;
-  for (char c : token) {
-    if (c < '0' || c > '9') return false;
-    if (value > (~0ull - 9) / 10) return false;  // overflow
-    value = value * 10 + static_cast<uint64_t>(c - '0');
-  }
-  *out = value;
-  return true;
+// Generation stems are "shard-<j>".
+bool IsShardStem(std::string_view stem) {
+  uint64_t shard = 0;
+  return stem.substr(0, kStemPrefix.size()) == kStemPrefix &&
+         SnapshotGenerations::ParseSeq(stem.substr(kStemPrefix.size()),
+                                       &shard);
 }
 
 }  // namespace
 
 ShardedSnapshotSet::ShardedSnapshotSet(std::string dir)
-    : dir_(std::move(dir)) {}
-
-std::string ShardedSnapshotSet::ManifestPath() const {
-  return dir_ + "/" + kManifestName;
-}
+    : generations_(std::move(dir), kManifestName, IsShardStem) {}
 
 std::string ShardedSnapshotSet::ShardPath(size_t shard, uint64_t seq) const {
-  return dir_ + "/shard-" + std::to_string(shard) + "." + std::to_string(seq) +
-         ".hdsp";
-}
-
-bool ShardedSnapshotSet::ParseGeneration(const std::string& name,
-                                         size_t* shard, uint64_t* seq) const {
-  const std::string_view prefix = "shard-";
-  const std::string_view suffix = ".hdsp";
-  if (name.size() <= prefix.size() + suffix.size()) return false;
-  if (name.compare(0, prefix.size(), prefix) != 0) return false;
-  if (name.compare(name.size() - suffix.size(), suffix.size(), suffix) != 0) {
-    return false;
-  }
-  const std::string middle = name.substr(
-      prefix.size(), name.size() - prefix.size() - suffix.size());
-  const size_t dot = middle.find('.');
-  if (dot == std::string::npos) return false;
-  uint64_t shard_value = 0;
-  uint64_t seq_value = 0;
-  if (!ParseU64(middle.substr(0, dot), &shard_value)) return false;
-  if (!ParseU64(middle.substr(dot + 1), &seq_value)) return false;
-  *shard = static_cast<size_t>(shard_value);
-  *seq = seq_value;
-  return true;
+  return generations_.Path(std::string(kStemPrefix) + std::to_string(shard),
+                           seq);
 }
 
 uint64_t ShardedSnapshotSet::CurrentSeq() const {
-  Result<std::string> body = ReadFileToString(ManifestPath());
+  Result<std::string> body = ReadFileToString(generations_.ManifestPath());
   if (!body.ok()) return 0;
   std::istringstream in(body.ValueOrDie());
   std::string magic;
@@ -85,58 +53,33 @@ Status ShardedSnapshotSet::Persist(const ShardedStore& store,
         "sharded snapshots require SS-tree shards");
   }
   HYPERDOM_SPAN(span, "shard/persist");
-  const uint64_t next = CurrentSeq() + 1;
+  const uint64_t next = generations_.NextSeq(CurrentSeq());
   HYPERDOM_SPAN_ANNOTATE(span, "generation", std::to_string(next));
 
-  // All K generation files land (each tmp+rename atomic on its own)
-  // before the manifest swings; empty shards write nothing, which the
-  // loader reproduces by re-partitioning the same data.
-  std::vector<std::string> written;
-  Status status = Status::OK();
-  for (size_t j = 0; j < store.shards() && status.ok(); ++j) {
-    if (store.shard(j).ss == nullptr) continue;
-    const std::string path = ShardPath(j, next);
-    status = SaveSnapshot(*store.shard(j).ss, path);
-    if (status.ok()) written.push_back(path);
-  }
-  if (status.ok()) {
-    status = HYPERDOM_FAULT_POINT_STATUS("snapshot/rotate");
-  }
-  if (status.ok()) {
-    std::ostringstream manifest;
-    manifest << kManifestMagic << ' ' << next << ' ' << store.shards() << ' '
-             << ShardPolicyName(store.options().policy) << ' '
-             << store.options().kmeans_seed << ' '
-             << store.options().kmeans_iterations << '\n';
-    const std::string tmp = ManifestPath() + ".tmp";
-    status = WriteStringToFile(tmp, manifest.str());
-    if (status.ok()) status = RenameFile(tmp, ManifestPath());
-    if (!status.ok()) (void)RemoveFile(tmp);
-  }
-  if (!status.ok()) {
-    // No manifest references the new generation; leave no debris.
-    for (const std::string& path : written) (void)RemoveFile(path);
-    HYPERDOM_SPAN_ANNOTATE(span, "result", "error");
-    return status;
-  }
-
-  HYPERDOM_SPAN_ANNOTATE(span, "result", "ok");
+  std::ostringstream manifest;
+  manifest << kManifestMagic << ' ' << next << ' ' << store.shards() << ' '
+           << ShardPolicyName(store.options().policy) << ' '
+           << store.options().kmeans_seed << ' '
+           << store.options().kmeans_iterations << '\n';
+  // All K generation files land before the manifest swings; empty shards
+  // write nothing, which the loader reproduces by re-partitioning the same
+  // data.
+  const Status status = generations_.Publish(
+      next,
+      [&](std::vector<std::string>* written) {
+        for (size_t j = 0; j < store.shards(); ++j) {
+          if (store.shard(j).ss == nullptr) continue;
+          const std::string path = ShardPath(j, next);
+          HYPERDOM_RETURN_NOT_OK(SaveSnapshot(*store.shard(j).ss, path));
+          written->push_back(path);
+        }
+        return Status::OK();
+      },
+      manifest.str());
+  HYPERDOM_SPAN_ANNOTATE(span, "result", status.ok() ? "ok" : "error");
+  if (!status.ok()) return status;
   if (published_seq != nullptr) *published_seq = next;
-  Prune(next);
   return Status::OK();
-}
-
-void ShardedSnapshotSet::Prune(uint64_t newest) const {
-  Result<std::vector<std::string>> entries = ListDirectory(dir_);
-  if (!entries.ok()) return;  // best-effort
-  for (const std::string& name : entries.ValueOrDie()) {
-    size_t shard = 0;
-    uint64_t seq = 0;
-    if (!ParseGeneration(name, &shard, &seq)) continue;
-    if (seq + kKeepGenerations <= newest) {
-      (void)RemoveFile(dir_ + "/" + name);
-    }
-  }
 }
 
 Status ShardedSnapshotSet::LoadLatest(
@@ -147,9 +90,10 @@ Status ShardedSnapshotSet::LoadLatest(
     return Status::NotSupported(
         "sharded snapshots require SS-tree shards");
   }
-  Result<std::string> body = ReadFileToString(ManifestPath());
+  Result<std::string> body = ReadFileToString(generations_.ManifestPath());
   if (!body.ok()) {
-    return Status::NotFound("no sharded snapshot manifest in '" + dir_ + "'");
+    return Status::NotFound("no sharded snapshot manifest in '" +
+                            generations_.dir() + "'");
   }
   std::istringstream in(body.ValueOrDie());
   std::string magic;
@@ -162,7 +106,7 @@ Status ShardedSnapshotSet::LoadLatest(
         kmeans_iterations) ||
       magic != kManifestMagic || seq == 0) {
     return Status::Corruption("malformed sharded snapshot manifest '" +
-                              ManifestPath() + "'");
+                              generations_.ManifestPath() + "'");
   }
   ShardPolicy policy = ShardPolicy::kHash;
   if (!ParseShardPolicy(policy_name, &policy)) {

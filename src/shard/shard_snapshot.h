@@ -11,11 +11,13 @@
 //   SHARDS                 manifest: "hyperdom-shards-v1 <seq> <shards>
 //                          <policy> <kmeans_seed> <kmeans_iterations>\n"
 //
-// Writes follow the rotation discipline of index/rotation.cc: all K
-// generation files are written (each itself tmp+rename atomic) before the
-// manifest swings via tmp+rename, so a crash at any point leaves either
-// the previous complete generation or the new one — never a mix. The two
-// newest generations are kept; older files are pruned.
+// Writes follow the generation scheme shared with the rotator
+// (SnapshotGenerations, index/rotation.h): all K generation files are
+// written before the manifest swings, each through one atomic file
+// replace, so a process crash at any point leaves either the previous
+// complete generation or the new one — never a mix. The next sequence is
+// 1 + max(the manifest's, the newest on disk). The two newest generations
+// are kept; older files are pruned.
 //
 // Loads re-partition the raw data (partitioning is deterministic in
 // (data, options) — shard/partitioner.h), so each shard knows exactly
@@ -33,6 +35,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "index/rotation.h"
 #include "index/snapshot.h"
 #include "shard/sharded_store.h"
 
@@ -71,13 +74,7 @@ class ShardedSnapshotSet {
   std::string ShardPath(size_t shard, uint64_t seq) const;
 
  private:
-  std::string ManifestPath() const;
-  /// Parses "shard-<j>.<seq>.hdsp"; false for any other name.
-  bool ParseGeneration(const std::string& name, size_t* shard,
-                       uint64_t* seq) const;
-  void Prune(uint64_t newest) const;
-
-  std::string dir_;
+  SnapshotGenerations generations_;
 };
 
 }  // namespace shard

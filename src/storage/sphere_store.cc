@@ -9,6 +9,8 @@
 #include <istream>
 #include <ostream>
 
+#include "common/pod_stream.h"
+
 namespace hyperdom {
 
 namespace {
@@ -26,17 +28,6 @@ double* AllocateArena(size_t doubles) {
   void* p = std::aligned_alloc(kArenaAlign, bytes);
   assert(p != nullptr);
   return static_cast<double*>(p);
-}
-
-template <typename T>
-void WritePod(std::ostream& out, const T& value) {
-  out.write(reinterpret_cast<const char*>(&value), sizeof(T));
-}
-
-template <typename T>
-bool ReadPod(std::istream& in, T* value) {
-  in.read(reinterpret_cast<char*>(value), sizeof(T));
-  return static_cast<bool>(in);
 }
 
 }  // namespace
@@ -145,7 +136,10 @@ Status SphereStore::DeserializeFrom(std::istream& in, SphereStore* out) {
   if ((dim == 0 && size > 0) || dim > (1u << 20)) {
     return Status::Corruption("sphere store dimension implausible");
   }
-  if (size > (uint64_t{1} << 32)) {
+  // Each row is dim coordinates plus a radius; the declared size must fit
+  // in the bytes that follow before the arena is sized from it.
+  if (size > (uint64_t{1} << 32) ||
+      !CountFits(in, size, (dim + 1) * sizeof(double))) {
     return Status::Corruption("sphere store size implausible");
   }
   SphereStore store(static_cast<size_t>(dim));

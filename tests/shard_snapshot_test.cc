@@ -295,6 +295,37 @@ TEST_F(ShardSnapshotTest, PruneKeepsOnlyTheLastTwoGenerations) {
   }
 }
 
+// A lost manifest must not restart the sequence: the next generation
+// outnumbers every one on disk, and the older ones are pruned.
+TEST_F(ShardSnapshotTest, PersistAfterLostManifestOutnumbersDisk) {
+  ShardingOptions options;
+  options.shards = 2;
+  const ShardedStore old_store = BuildStore(MakeData(40, 69), options);
+  ShardedSnapshotSet set(dir_);
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(set.Persist(old_store, nullptr).ok());
+  }
+  ASSERT_TRUE(RemoveFile(dir_ + "/SHARDS").ok());
+
+  const auto data = MakeData(90, 70);
+  const ShardedStore new_store = BuildStore(data, options);
+  uint64_t seq = 0;
+  ASSERT_TRUE(set.Persist(new_store, &seq).ok());
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(set.CurrentSeq(), 7u);
+  for (const std::string& name : Files()) {
+    if (name == "SHARDS") continue;
+    EXPECT_TRUE(name.find(".6.hdsp") != std::string::npos ||
+                name.find(".7.hdsp") != std::string::npos)
+        << "stale file " << name;
+  }
+
+  ShardedStore loaded;
+  ASSERT_TRUE(set.LoadLatest(data, options, &loaded, nullptr, &seq).ok());
+  EXPECT_EQ(seq, 7u);
+  ExpectSameAnswers(new_store, loaded);
+}
+
 #if defined(HYPERDOM_FAULT_INJECTION_ENABLED)
 
 struct RegistryGuard {

@@ -143,6 +143,31 @@ TEST_F(SnapshotRotationTest, CorruptNamedGenerationFallsBackToPredecessor) {
   EXPECT_EQ(loaded.size(), data.size());
 }
 
+// A lost manifest must not restart the sequence: the next generation
+// outnumbers every one on disk, so it is pruned past and found by the
+// fallback scan instead of hiding behind an older, higher number.
+TEST_F(SnapshotRotationTest, PersistAfterLostManifestOutnumbersDisk) {
+  SsTree old_tree(3);
+  ASSERT_TRUE(old_tree.BulkLoadStr(RotationData(9107, 1)).ok());
+  SnapshotRotator rotator(dir_);
+  for (int i = 0; i < 6; ++i) ASSERT_TRUE(rotator.Persist(old_tree).ok());
+  ASSERT_TRUE(RemoveFile(dir_ + "/CURRENT").ok());
+
+  SsTree new_tree(3);
+  ASSERT_TRUE(new_tree.BulkLoadStr(RotationData(9108, 3)).ok());
+  uint64_t seq = 0;
+  ASSERT_TRUE(rotator.Persist(new_tree, &seq).ok());
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(Files(), (std::set<std::string>{"CURRENT", "store.6.hdsp",
+                                            "store.7.hdsp"}));
+
+  ASSERT_TRUE(RemoveFile(dir_ + "/CURRENT").ok());
+  SsTree loaded(1);
+  ASSERT_TRUE(rotator.LoadLatest(&loaded, &seq).ok());
+  EXPECT_EQ(seq, 7u);
+  EXPECT_EQ(loaded.size(), 3u);
+}
+
 TEST_F(SnapshotRotationTest, EmptyDirectoryIsNotFound) {
   SnapshotRotator rotator(dir_);
   SsTree loaded(1);

@@ -244,11 +244,11 @@ TEST(SnapshotTest, LoadOrRebuildFallsBackOnMissingFile) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 -> v2 migration. The writers below emit the exact pre-store formats:
-// HDSP v1 envelopes wrapping AoS tree payloads (HDSS v2 node records with
-// inline spheres; HDVP v1 likewise). The current loader must migrate them
-// into a SphereStore transparently, and the corruption checks must hold on
-// the legacy byte layout too.
+// Old formats. The writers below emit the exact pre-store formats: HDSP v1
+// envelopes wrapping AoS tree payloads (HDSS v2 node records with inline
+// spheres; HDVP v1 likewise). Nothing writes them any more, so the loader
+// reads none of them: each gets kNotSupported naming its version, and no
+// corruption of them ever loads.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -298,11 +298,12 @@ std::string LegacyVpPayload(const std::vector<Hypersphere>& data) {
   return out;
 }
 
-// HDSP v1 envelope around a payload.
-std::string LegacyEnvelope(SnapshotKind kind, const std::string& payload) {
+// HDSP envelope around a payload; v1 unless `version` says otherwise.
+std::string LegacyEnvelope(SnapshotKind kind, const std::string& payload,
+                           uint32_t version = 1) {
   std::string out;
   out.append("HDSP", 4);
-  AppendPod(&out, uint32_t{1});  // legacy envelope version
+  AppendPod(&out, version);
   AppendPod(&out, static_cast<uint32_t>(kind));
   AppendPod(&out, static_cast<uint64_t>(payload.size()));
   AppendPod(&out, Crc32Of(payload.data(), payload.size()));
@@ -310,71 +311,54 @@ std::string LegacyEnvelope(SnapshotKind kind, const std::string& payload) {
   return out;
 }
 
-TEST(SnapshotMigrationTest, LegacySsSnapshotLoadsIntoStore) {
-  const auto data = TestData(913, 14);
-  const std::string path = TestPath("legacy_ss.snap");
-  WriteFile(path, LegacyEnvelope(SnapshotKind::kSsTree,
-                                 LegacySsPayload(data)));
-
-  auto info = VerifySnapshot(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_EQ(info->version, 1u);
-  EXPECT_TRUE(info->crc_ok);
-
-  SsTree loaded(1);
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
-  EXPECT_EQ(loaded.size(), data.size());
-  EXPECT_EQ(loaded.dim(), 3u);
-  EXPECT_TRUE(loaded.CheckInvariants().ok());
-  // Every migrated sphere is bit-identical to the source.
-  ASSERT_EQ(loaded.store().size(), data.size());
-
-  // Migrated trees answer queries exactly like a fresh build over the
-  // same data inserted in the same (leaf) order.
-  SsTree fresh(3);
-  for (size_t i = 0; i < data.size(); ++i) {
-    ASSERT_TRUE(fresh.Insert(data[i], static_cast<uint64_t>(i)).ok());
-  }
-  HyperbolaCriterion exact;
-  KnnSearcher searcher(&exact, KnnOptions{});
-  for (const auto& sq : MakeKnnQueries(data, 6, 914)) {
-    EXPECT_EQ(Ids(searcher.Search(loaded, sq)),
-              Ids(searcher.Search(fresh, sq)));
-  }
-
-  // Re-saving writes the current store-backed format.
-  const std::string resaved = TestPath("legacy_ss_resave.snap");
-  ASSERT_TRUE(SaveSnapshot(loaded, resaved).ok());
-  auto info2 = VerifySnapshot(resaved);
-  ASSERT_TRUE(info2.ok());
-  EXPECT_EQ(info2->version, 2u);
-  SsTree round(1);
-  ASSERT_TRUE(LoadSnapshot(resaved, &round).ok());
-  EXPECT_EQ(round.size(), data.size());
+// Loads `bytes` from a file and returns the load status.
+template <typename Tree>
+Status LoadBytes(const std::string& name, const std::string& bytes,
+                 Tree* out) {
+  const std::string path = TestPath(name);
+  WriteFile(path, bytes);
+  const Status status = LoadSnapshot(path, out);
   std::remove(path.c_str());
-  std::remove(resaved.c_str());
+  return status;
 }
 
-TEST(SnapshotMigrationTest, LegacyVpSnapshotLoadsIntoStore) {
+TEST(SnapshotMigrationTest, LegacyEnvelopeIsNotSupported) {
+  const auto data = TestData(913, 14);
+  SsTree loaded(1);
+  const Status status = LoadBytes(
+      "legacy_env.snap",
+      LegacyEnvelope(SnapshotKind::kSsTree, LegacySsPayload(data)), &loaded);
+  EXPECT_EQ(status.code(), StatusCode::kNotSupported) << status.ToString();
+  EXPECT_NE(status.message().find("version 1"), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(loaded.size(), 0u);
+}
+
+TEST(SnapshotMigrationTest, LegacyTreePayloadsAreNotSupported) {
+  // Current envelopes around the old tree formats: the tree readers
+  // refuse them by version.
   const auto data = TestData(915, 12);
-  const std::string path = TestPath("legacy_vp.snap");
-  WriteFile(path, LegacyEnvelope(SnapshotKind::kVpTree,
-                                 LegacyVpPayload(data)));
+  SsTree ss(1);
+  const Status ss_status = LoadBytes(
+      "legacy_ss.snap",
+      LegacyEnvelope(SnapshotKind::kSsTree, LegacySsPayload(data), 2), &ss);
+  EXPECT_EQ(ss_status.code(), StatusCode::kNotSupported)
+      << ss_status.ToString();
+  EXPECT_NE(ss_status.message().find("SS-tree format version 2"),
+            std::string::npos)
+      << ss_status.ToString();
+  EXPECT_EQ(ss.size(), 0u);
 
-  VpTree loaded;
-  ASSERT_TRUE(LoadSnapshot(path, &loaded).ok());
-  EXPECT_EQ(loaded.size(), data.size());
-  EXPECT_EQ(loaded.dim(), 3u);
-  ASSERT_EQ(loaded.store().size(), data.size());
-
-  // The migrated store holds the source spheres bit-for-bit.
-  HyperbolaCriterion exact;
-  for (const auto& sq : MakeKnnQueries(data, 6, 916)) {
-    const auto got = KnnSearcher(&exact, KnnOptions{}).Search(loaded, sq);
-    const auto want = KnnLinearScan(data, sq, KnnOptions{}.k, exact);
-    EXPECT_EQ(Ids(got), Ids(want));
-  }
-  std::remove(path.c_str());
+  VpTree vp;
+  const Status vp_status = LoadBytes(
+      "legacy_vp.snap",
+      LegacyEnvelope(SnapshotKind::kVpTree, LegacyVpPayload(data), 2), &vp);
+  EXPECT_EQ(vp_status.code(), StatusCode::kNotSupported)
+      << vp_status.ToString();
+  EXPECT_NE(vp_status.message().find("VP-tree format version 1"),
+            std::string::npos)
+      << vp_status.ToString();
+  EXPECT_EQ(vp.size(), 0u);
 }
 
 TEST(SnapshotMigrationTest, LegacyBitFlipsAreStillRejected) {

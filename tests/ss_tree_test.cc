@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "data/generator.h"
+#include "index/snapshot.h"
 #include "test_util.h"
 
 namespace hyperdom {
@@ -293,12 +294,20 @@ TEST(SsTreeBoundingPolicyComparisonTest, MinBallBoundsAreTighter) {
   EXPECT_LE(radius_mass(min_ball_tree), radius_mass(centroid_tree));
 }
 
+// Round trips go through Serialize/Deserialize; files go through the
+// checksummed snapshot API (index/snapshot.h), the only file API.
 class SsTreePersistenceTest : public ::testing::Test {
  protected:
   std::string TempPath() {
     return testing::TempDir() + "/hyperdom_sstree_" +
            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
            ".bin";
+  }
+
+  static Status RoundTrip(const SsTree& tree, SsTree* loaded) {
+    std::stringstream bytes(std::ios::in | std::ios::out | std::ios::binary);
+    HYPERDOM_RETURN_NOT_OK(tree.Serialize(bytes));
+    return SsTree::Deserialize(bytes, loaded);
   }
 };
 
@@ -312,11 +321,8 @@ TEST_F(SsTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
   SsTree tree(4);
   ASSERT_TRUE(tree.BulkLoad(data).ok());
 
-  const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
   SsTree loaded(0);
-  ASSERT_TRUE(SsTree::Load(path, &loaded).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(RoundTrip(tree, &loaded).ok());
 
   EXPECT_EQ(loaded.size(), tree.size());
   EXPECT_EQ(loaded.dim(), tree.dim());
@@ -353,11 +359,8 @@ TEST_F(SsTreePersistenceTest, RoundTripPreservesStructureAndAnswers) {
 
 TEST_F(SsTreePersistenceTest, EmptyTreeRoundTrips) {
   SsTree tree(3);
-  const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
   SsTree loaded(0);
-  ASSERT_TRUE(SsTree::Load(path, &loaded).ok());
-  std::remove(path.c_str());
+  ASSERT_TRUE(RoundTrip(tree, &loaded).ok());
   EXPECT_EQ(loaded.size(), 0u);
   EXPECT_EQ(loaded.root(), nullptr);
 }
@@ -365,7 +368,7 @@ TEST_F(SsTreePersistenceTest, EmptyTreeRoundTrips) {
 TEST_F(SsTreePersistenceTest, MissingFileIsNotFound) {
   SsTree loaded(0);
   // common/io maps ENOENT to kNotFound.
-  EXPECT_EQ(SsTree::Load("/no/such/file.bin", &loaded).code(),
+  EXPECT_EQ(LoadSnapshot("/no/such/file.bin", &loaded).code(),
             StatusCode::kNotFound);
 }
 
@@ -376,7 +379,7 @@ TEST_F(SsTreePersistenceTest, GarbageFileIsRejected) {
     out << "definitely not an SS-tree";
   }
   SsTree loaded(0);
-  EXPECT_EQ(SsTree::Load(path, &loaded).code(), StatusCode::kCorruption);
+  EXPECT_EQ(LoadSnapshot(path, &loaded).code(), StatusCode::kCorruption);
   std::remove(path.c_str());
 }
 
@@ -387,23 +390,15 @@ TEST_F(SsTreePersistenceTest, TruncatedFileIsRejected) {
   spec.seed = 809;
   SsTree tree(3);
   ASSERT_TRUE(tree.BulkLoad(GenerateSynthetic(spec)).ok());
-  const std::string path = TempPath();
-  ASSERT_TRUE(tree.Save(path).ok());
-  // Chop the file in half.
-  std::ifstream in(path, std::ios::binary);
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  in.close();
-  const std::string content = buffer.str();
-  {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    out.write(content.data(),
-              static_cast<std::streamsize>(content.size() / 2));
-  }
+  std::ostringstream out(std::ios::binary);
+  ASSERT_TRUE(tree.Serialize(out).ok());
+  // Chop the serialized tree in half.
+  const std::string content = out.str();
+  std::istringstream in(content.substr(0, content.size() / 2),
+                        std::ios::binary);
   SsTree loaded(0);
-  const Status st = SsTree::Load(path, &loaded);
+  const Status st = SsTree::Deserialize(in, &loaded);
   EXPECT_FALSE(st.ok());
-  std::remove(path.c_str());
 }
 
 TEST(SsTreeTest, SubtreeSizesConsistent) {

@@ -838,6 +838,10 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     HYPERDOM_RETURN_NOT_OK(tree->BulkLoadStr(*data));
     server.emplace(&*tree, criterion.get(), options);
   }
+  // Every mode's store holds its own rows; free the parsed copy for the
+  // rest of the serve.
+  const size_t sphere_count = data->size();
+  std::vector<Hypersphere>().swap(*data);
   std::optional<ServeSignalScope> signals;
   signals.emplace();
   HYPERDOM_RETURN_NOT_OK(server->Start());
@@ -879,7 +883,7 @@ Status CmdServe(const ParsedArgs& args, std::ostream& out) {
     HYPERDOM_RETURN_NOT_OK(admin->Start());
   }
   out << "hyperdom_server listening on " << options.host << ":"
-      << server->port() << " (" << data->size() << " spheres, criterion "
+      << server->port() << " (" << sphere_count << " spheres, criterion "
       << criterion->name() << (mutable_mode ? ", mutable" : "");
   if (sharded_mode) {
     out << ", " << sharded_store->shards() << " shards ("
